@@ -19,6 +19,7 @@ from .assessment import (
     crude_bound,
     hclub,
     hclub_z,
+    long_run_variances,
     normal_upper_quantile,
     re_ratios,
 )
@@ -63,6 +64,7 @@ from .portfolios import (
     gross_exposure,
     min_variance,
     sample_random_portfolio,
+    sample_random_weights,
 )
 from .rng import derive_key, derive_rng
 from .simulation import (
@@ -100,11 +102,12 @@ __all__ = [
     # assessment
     "LongRunVariance", "HclubResult", "CrudeBound",
     "normal_upper_quantile", "autocov_sample", "autocov_factor",
-    "autocov_poet", "hclub", "hclub_z", "crude_bound", "re_ratios",
+    "autocov_poet", "long_run_variances", "hclub", "hclub_z",
+    "crude_bound", "re_ratios",
     # portfolios
     "Portfolio", "ExposureSpec", "SolverOptions",
-    "sample_random_portfolio", "equal_weight", "gross_exposure",
-    "min_variance",
+    "sample_random_portfolio", "sample_random_weights", "equal_weight",
+    "gross_exposure", "min_variance",
     # simulation
     "CalibrationParams", "ModelInstance", "ExperimentCell",
     "CellAggregate", "ExperimentReport", "GridConfig",

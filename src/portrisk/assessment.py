@@ -35,6 +35,9 @@ __all__ = [
     "autocov_sample",
     "autocov_factor",
     "autocov_poet",
+    "long_run_variances",
+    "total_return_series",
+    "systematic_return_series",
     "hclub",
     "hclub_z",
     "crude_bound",
@@ -117,24 +120,88 @@ class LongRunVariance:
     clamped: bool = False
 
 
-def _long_run_variance(series: np.ndarray, center: float, L: int) -> LongRunVariance:
-    T = series.shape[0]
+def long_run_variances(series, centers, L: int):
+    """Truncated long-run variances of P squared series at once.
+
+    series is T x P with one return series per column and centers holds
+    the P centering constants.  Returns (gammas, sigma2, clamped):
+    gammas is (L+1) x P with gamma(h) in row h, sigma2 the P truncated
+    sums clamped at zero, and clamped marks the clamped columns.  Each
+    gamma(h) is one dot product per column, the BLAS call a lone series
+    makes, so a column's figures do not depend on the batch around it.
+    One RuntimeWarning reports all the clamped columns of a call.
+    """
+    series = np.asarray(series, dtype=float)
+    T, P = series.shape
     if L >= T:
         raise DataError(f"lag truncation L={L} must be below T={T}")
     if L < 0:
         raise DataError("lag truncation L must be nonnegative")
-    q = series * series - center
-    gammas = tuple(float(q[: T - h] @ q[h:]) / T for h in range(L + 1))
-    sigma2 = gammas[0] + 2.0 * sum(gammas[1:])
+    q = np.ascontiguousarray((series * series - centers).T)
+    gammas = np.empty((L + 1, P))
+    for h in range(L + 1):
+        gammas[h] = np.matmul(q[:, None, : T - h], q[:, h:, None])[:, 0, 0] / T
+    sigma2 = gammas[0] + 2.0 * sum(gammas[1:], np.zeros(P))
     clamped = sigma2 < 0.0
-    if clamped:
+    n_clamped = int(clamped.sum())
+    if n_clamped:
+        what = (f"({sigma2[0]:.3e})" if P == 1
+                else f"for {n_clamped} of {P} portfolios")
         warnings.warn(
-            f"truncated long-run variance was negative ({sigma2:.3e}); clamped to 0",
+            f"truncated long-run variance was negative {what}; clamped to 0",
             RuntimeWarning,
             stacklevel=3,
         )
-        sigma2 = 0.0
-    return LongRunVariance(gammas=gammas, L=L, sigma2=sigma2, clamped=clamped)
+        sigma2 = np.where(clamped, 0.0, sigma2)
+    return gammas, sigma2, clamped
+
+
+def _per_row(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """matrix @ r for each row r, one BLAS call per row as for a lone vector."""
+    return np.matmul(matrix, rows[:, :, None])[:, :, 0]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def total_return_series(panel: ReturnsPanel, W, demean: bool = True):
+    """Series (T x P) and centers (P) of the total returns of the columns of W.
+
+    Column j is p_t = w_j'r_t on (by default) demeaned rows, centered at
+    w_j'Sw_j with S built from the same rows.
+    """
+    rows = np.ascontiguousarray(np.asarray(W, dtype=float).T)
+    X = panel.demeaned_values if demean else panel.values
+    p = _per_row(X, rows)
+    return p.T, _row_dots(p, p) / panel.T
+
+
+def systematic_return_series(fit: FactorModelFit, W):
+    """Series (T x P) and centers (P) of the systematic returns w_j'Bf_t.
+
+    The center is w_j'B cov(f) B'w_j for observed factors and w_j'BB'w_j
+    for PCA factors, whose covariance is the identity.
+    """
+    rows = np.ascontiguousarray(np.asarray(W, dtype=float).T)
+    b = _per_row(fit.loadings.T, rows)
+    series = _per_row(fit.factors, b)
+    if fit.source == "pca":
+        return series.T, _row_dots(b, b)
+    return series.T, _row_dots(np.matmul(b[:, None, :], fit.factor_cov)[:, 0, :], b)
+
+
+def _first_column(lrvs, L: int) -> LongRunVariance:
+    gammas, sigma2, clamped = lrvs
+    return LongRunVariance(gammas=tuple(float(g) for g in gammas[:, 0]), L=L,
+                           sigma2=float(sigma2[0]), clamped=bool(clamped[0]))
+
+
+def _weight_column(w, N: int) -> np.ndarray:
+    weights = np.asarray(getattr(w, "weights", w), dtype=float)
+    if weights.shape != (N,):
+        raise DataError(f"weight vector has shape {weights.shape}, expected ({N},)")
+    return weights[:, None]
 
 
 def autocov_sample(
@@ -146,13 +213,8 @@ def autocov_sample(
     centering constant is w'Sw with S built from the same rows, so the
     lag-0 term is exactly the sample variance of p_t^2.
     """
-    weights = np.asarray(getattr(w, "weights", w), dtype=float)
-    if weights.shape != (panel.N,):
-        raise DataError(f"weight vector has shape {weights.shape}, expected ({panel.N},)")
-    X = panel.demeaned_values if demean else panel.values
-    p = X @ weights
-    center = float(p @ p) / panel.T
-    return _long_run_variance(p, center, L)
+    W = _weight_column(w, panel.N)
+    return _first_column(long_run_variances(*total_return_series(panel, W, demean), L), L)
 
 
 def autocov_factor(fit: FactorModelFit, w, L: int = DEFAULT_LAGS) -> LongRunVariance:
@@ -162,13 +224,8 @@ def autocov_factor(fit: FactorModelFit, w, L: int = DEFAULT_LAGS) -> LongRunVari
     """
     if fit.source != "observed":
         raise DataError("autocov_factor needs an observed-factor fit")
-    weights = np.asarray(getattr(w, "weights", w), dtype=float)
-    if weights.shape != (fit.N,):
-        raise DataError(f"weight vector has shape {weights.shape}, expected ({fit.N},)")
-    b = fit.loadings.T @ weights
-    series = fit.factors @ b
-    center = float(b @ fit.factor_cov @ b)
-    return _long_run_variance(series, center, L)
+    W = _weight_column(w, fit.N)
+    return _first_column(long_run_variances(*systematic_return_series(fit, W), L), L)
 
 
 def autocov_poet(fit: FactorModelFit, w, L: int = DEFAULT_LAGS) -> LongRunVariance:
@@ -179,13 +236,8 @@ def autocov_poet(fit: FactorModelFit, w, L: int = DEFAULT_LAGS) -> LongRunVarian
     """
     if fit.source != "pca":
         raise DataError("autocov_poet needs a PCA fit")
-    weights = np.asarray(getattr(w, "weights", w), dtype=float)
-    if weights.shape != (fit.N,):
-        raise DataError(f"weight vector has shape {weights.shape}, expected ({fit.N},)")
-    b = fit.loadings.T @ weights
-    series = fit.factors @ b
-    center = float(b @ b)
-    return _long_run_variance(series, center, L)
+    W = _weight_column(w, fit.N)
+    return _first_column(long_run_variances(*systematic_return_series(fit, W), L), L)
 
 
 @dataclass(frozen=True)

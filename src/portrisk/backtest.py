@@ -57,6 +57,10 @@ def annualize_risk(risk: float, periods_per_year: float) -> float:
     return risk * math.sqrt(periods_per_year)
 
 
+def _minvar_label(c: float) -> str:
+    return f"minvar_c{c:g}"
+
+
 @dataclass(frozen=True)
 class BacktestConfig:
     """Protocol settings for the rolling study.
@@ -96,6 +100,12 @@ class BacktestConfig:
         for c in self.exposures:
             if c < 1.0:
                 raise DataError(f"gross exposure must be at least 1, got {c}")
+        labels = [_minvar_label(c) for c in self.exposures]
+        if len(set(labels)) != len(labels):
+            raise DataError(
+                f"exposures {self.exposures} give the strategy labels {labels}; "
+                "each exposure needs a label of its own"
+            )
         if self.L < 0 or self.L >= self.estimation_window:
             raise DataError("lag truncation must satisfy 0 <= L < estimation window")
 
@@ -247,7 +257,8 @@ def run_empirical_study(
             f"panel has {returns.T} rows; need at least {W + H} for one rebalance"
         )
 
-    strategies = ["equal"] + [f"minvar_c{c:g}" for c in config.exposures]
+    # (label, exposure); the equal-weight book has no exposure budget
+    strategies = [("equal", None)] + [(_minvar_label(c), c) for c in config.exposures]
     records = []
     skipped = []
     for r in range(n_reb):
@@ -262,7 +273,7 @@ def run_empirical_study(
             try:
                 est, fit = _window_estimate(name, window, factor_window, config)
             except PortriskError as exc:
-                for strategy in strategies:
+                for strategy, _ in strategies:
                     skipped.append(SkippedCase(r, strategy, name, str(exc)))
                 warnings.warn(
                     f"window {r}: {name} estimator failed ({exc}); skipped",
@@ -270,12 +281,11 @@ def run_empirical_study(
                     stacklevel=2,
                 )
                 continue
-            for strategy in strategies:
+            for strategy, c in strategies:
                 try:
-                    if strategy == "equal":
+                    if c is None:
                         pf = equal_weight(returns.N)
                     else:
-                        c = float(strategy.split("minvar_c", 1)[1])
                         pf = min_variance(est, c)
                     records.append(_assess(r, hold_start, strategy, name, est,
                                            fit, pf, window, hold_block, config))
@@ -289,7 +299,7 @@ def run_empirical_study(
 
     aggregates = []
     ppy = config.periods_per_year
-    for strategy in strategies:
+    for strategy, _ in strategies:
         for name in config.estimators:
             rows = [x for x in records
                     if x.strategy == strategy and x.estimator == name]

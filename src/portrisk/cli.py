@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
                         help="base seed for anything random (default 0)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker processes for simulations "
-                             "(default: PRL_THREADS or CPU count, capped at 8)")
+                             "(default: PRL_THREADS or usable CPUs, capped at 8)")
     parser.add_argument("--output-dir", default=".", help="directory for output files")
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -390,10 +390,12 @@ def ensure_positive_definite(
     """Re-threshold with doubled C until the estimate is positive definite.
 
     Returns the input unchanged when its smallest eigenvalue already
-    exceeds 1e-8; otherwise doubles C starting from C_start, at most 20
-    times, and returns the first positive-definite estimate with the C
-    actually used recorded in tuning.  By default the estimate's own rule
-    restarts from its own C (or 0.05 when that C is zero).
+    exceeds 1e-8.  Otherwise it rebuilds at 2 * C_start, 4 * C_start, ...
+    (at most 20 rebuilds; C_start itself is never tried, as the C is
+    doubled before each rebuild) and returns the first positive-definite
+    estimate, with the C actually used recorded in tuning.  By default the
+    estimate's own rule is kept and C_start is the estimate's own C (or
+    0.05 when that C is zero).
     """
     if estimate.kind not in ("factor", "poet"):
         raise DataError("only factor and poet estimates can be re-thresholded")

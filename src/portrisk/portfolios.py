@@ -22,6 +22,7 @@ __all__ = [
     "ExposureSpec",
     "SolverOptions",
     "sample_random_portfolio",
+    "sample_random_weights",
     "equal_weight",
     "min_variance",
     "gross_exposure",
@@ -71,41 +72,58 @@ def _exposure_value(c) -> float:
     return value
 
 
-def sample_random_portfolio(N: int, c, rng: np.random.Generator) -> Portfolio:
-    """Draw a representative portfolio with sum 1 and gross exposure c.
+def sample_random_weights(N: int, c, rng: np.random.Generator, P: int = 1) -> np.ndarray:
+    """Draw P representative weight vectors with sum 1 and gross exposure c.
 
-    The number of long positions is binomial with success probability
-    (c+1)/(2c); long weights are normalized standard exponentials scaled
-    to sum (c+1)/2, short weights likewise scaled to -(c-1)/2, and the
-    combined vector is randomly permuted so every index is equally likely
-    to be long.  Draws leaving one side empty when c > 1 are redrawn, at
-    most 100 times.
+    Returns an N x P array, one portfolio per column.  The number of long
+    positions is binomial with success probability (c+1)/(2c); long
+    weights are normalized standard exponentials scaled to sum (c+1)/2,
+    short weights likewise scaled to -(c-1)/2, and the combined vector is
+    randomly permuted so every index is equally likely to be long.  Draws
+    leaving one side empty when c > 1 are redrawn, at most 100 times.
 
-    The generator is consumed in a fixed order (count, long exponentials,
-    short exponentials, permutation), so a given stream state always
-    yields the same portfolio.
+    Each column consumes the generator in a fixed order (count, long
+    exponentials, short exponentials, permutation), so column j equals the
+    j-th of P successive sample_random_portfolio calls on the same stream.
     """
     if N < 1:
         raise DataError("N must be at least 1")
+    if P < 1:
+        raise DataError("P must be at least 1")
     c = _exposure_value(c)
     p_long = (c + 1.0) / (2.0 * c)
-    k = -1
-    for _ in range(100):
-        k = int(rng.binomial(N, p_long))
-        if c == 1.0 or 0 < k < N:
-            break
-    else:
-        raise DataError(
-            f"could not draw a portfolio with both sides populated (N={N}, c={c})"
-        )
-    long_raw = rng.standard_exponential(k)
-    longs = (c + 1.0) / 2.0 * long_raw / long_raw.sum() if k else np.empty(0)
-    shorts = np.empty(0)
-    if N - k:
-        short_raw = rng.standard_exponential(N - k)
-        shorts = -(c - 1.0) / 2.0 * short_raw / short_raw.sum()
-    w = np.concatenate([longs, shorts])[rng.permutation(N)]
-    return Portfolio(w)
+    W = np.empty((N, P))
+    for j in range(P):
+        k = -1
+        for _ in range(100):
+            k = int(rng.binomial(N, p_long))
+            if c == 1.0 or 0 < k < N:
+                break
+        else:
+            raise DataError(
+                f"could not draw a portfolio with both sides populated (N={N}, c={c})"
+            )
+        # the long and the short exponentials are one contiguous run of
+        # the stream, so a single draw splits into both sides
+        raw = rng.standard_exponential(N)
+        long_raw, short_raw = raw[:k], raw[k:]
+        if k:
+            raw[:k] = (c + 1.0) / 2.0 * long_raw / long_raw.sum()
+        if N - k:
+            raw[k:] = -(c - 1.0) / 2.0 * short_raw / short_raw.sum()
+        W[:, j] = raw[rng.permutation(N)]
+    if not np.all(np.isfinite(W)):
+        raise DataError("portfolio weights must be finite")
+    totals = W.sum(axis=0)
+    off = np.abs(totals - 1.0) > 1e-9
+    if np.any(off):
+        raise DataError(f"portfolio weights sum to {float(totals[off][0])!r}, not 1")
+    return W
+
+
+def sample_random_portfolio(N: int, c, rng: np.random.Generator) -> Portfolio:
+    """One draw of sample_random_weights, as a Portfolio."""
+    return Portfolio(sample_random_weights(N, c, rng)[:, 0])
 
 
 def equal_weight(N: int) -> Portfolio:

@@ -8,16 +8,22 @@ it positive definite.  The shipped loading and factor parameters are
 calibrated to daily data in percent units (a value of 1.0 means 1% per
 period), so simulated risks annualize to realistic equity magnitudes.
 
-The replication protocol generates one market per (N, T, replication)
-triple, estimates the covariance three ways (sample; factor model with
-the simulated factors observed; POET with re-extracted latent factors),
-draws a batch of random exposure-c portfolios, and records the realized
-estimation error Delta, the crude bound xi, the high-confidence bound
-U(tau), the ratios RE1 and RE2, and the coverage indicator for every
-portfolio and estimator.  Model streams are keyed by (base_seed, N, T,
-replication) and portfolio streams additionally by c, so cells that
-differ only in exposure reuse the same simulated markets (common random
+The replication protocol generates one market per (calibration, N, T,
+replication), estimates the covariance three ways (sample; factor model
+with the simulated factors observed; POET with re-extracted latent
+factors), draws a batch of random exposure-c portfolios, and records the
+realized estimation error Delta, the crude bound xi, the high-confidence
+bound U(tau), the ratios RE1 and RE2, and the coverage indicator for
+every portfolio and estimator.  Model streams are keyed by (base_seed, N,
+T, replication) and portfolio streams additionally by c, so cells that
+differ only in exposure see the same simulated markets (common random
 numbers) while remaining fully deterministic for any worker count.
+
+An experiment is scheduled market-major: one task per (replication,
+market), where a market is the set of grid cells sharing (calibration,
+N, T).  A task simulates its market once, builds each distinct estimate
+once, and then evaluates every cell of the market with the batched
+portfolio sampler and long-run-variance kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +37,18 @@ from functools import partial
 
 import numpy as np
 
-from .assessment import autocov_factor, autocov_poet, autocov_sample, hclub_z
+# autocov_* and sample_random_portfolio are the single-portfolio forms of
+# the batched ops used here; they stay bound in this module for code that
+# wraps the module's names to profile it
+from .assessment import (
+    autocov_factor,
+    autocov_poet,
+    autocov_sample,
+    hclub_z,
+    long_run_variances,
+    systematic_return_series,
+    total_return_series,
+)
 from .errors import DataError, NumericalError
 from .estimators import (
     ThresholdRule,
@@ -42,7 +59,7 @@ from .estimators import (
     sample_covariance,
 )
 from .panels import FactorPanel, ReturnsPanel
-from .portfolios import sample_random_portfolio
+from .portfolios import sample_random_portfolio, sample_random_weights
 from .rng import derive_rng
 
 __all__ = [
@@ -266,6 +283,7 @@ def _error_cov_detail(params: CalibrationParams, N: int, rng):
         raise DataError("N must be at least 1")
     sds = _draw_error_sds(params, N, rng)
     corr = np.eye(N)
+    draws = np.empty(0)
     if N > 1:
         iu = np.triu_indices(N, k=1)
         draws = rng.normal(params.corr_mean, params.corr_sd, size=iu[0].size)
@@ -277,11 +295,18 @@ def _error_cov_detail(params: CalibrationParams, N: int, rng):
         threshold = 0.0
     else:
         # smallest hard-threshold level restoring positive definiteness,
-        # found by bisection and biased to the PD side of the bracket
+        # found by bisection and biased to the PD side of the bracket.
+        # The matrix at lo is never PD and the one at hi always is; when no
+        # |corr| lies in (lo, mid] or in (mid, hi], the matrix at mid is the
+        # one at lo or at hi, so its status is known without a factorization.
+        levels = np.sort(np.abs(draws))
         lo, hi = 0.0, float(np.max(np.abs(corr - np.eye(N))))
         while hi - lo > 1e-6:
             mid = (lo + hi) / 2.0
-            if _is_pd(_hard_threshold_corr(corr, mid)):
+            n_lo, n_mid, n_hi = np.searchsorted(levels, (lo, mid, hi), side="right")
+            if n_mid == n_lo:
+                lo = mid
+            elif n_hi == n_mid or _is_pd(_hard_threshold_corr(corr, mid)):
                 hi = mid
             else:
                 lo = mid
@@ -381,6 +406,8 @@ class ExperimentCell:
             raise DataError(f"unknown estimator name(s) {bad}; valid: {ESTIMATOR_NAMES}")
         if not self.estimators:
             raise DataError("cell needs at least one estimator")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise DataError(f"estimators {self.estimators} name an estimator twice")
         if not 0 < self.tau < 1:
             raise DataError(f"tau must lie in (0, 1), got {self.tau}")
         if self.portfolios_per_rep < 1:
@@ -397,21 +424,12 @@ class ReplicationRecord:
     per_estimator: dict                  # name -> dict of (P,) arrays
 
 
-_MARKET_CACHE: dict = {}
-_MARKET_CACHE_LIMIT = 3
-
-
 def _generate_market(params: CalibrationParams, N: int, T: int, base_seed: int, rep: int):
-    """Instance and panel for one (N, T, rep); cached across exposure cells.
+    """Instance, returns panel and factor panel of one (N, T, rep) market.
 
-    The cache is purely an evaluation-order optimization: the market is a
-    deterministic function of the key, so hits and misses give identical
-    results.
+    A deterministic function of its arguments: the model stream is keyed
+    by (base_seed, N, T, rep).
     """
-    key = (params.fingerprint(), N, T, int(base_seed), rep)
-    hit = _MARKET_CACHE.get(key)
-    if hit is not None:
-        return hit
     rng = derive_rng(base_seed, "model", N, T, rep)
     instance = build_model_instance(params, N, rng)
     F = generate_var1_factors(params, T, rng)
@@ -420,11 +438,58 @@ def _generate_market(params: CalibrationParams, N: int, T: int, base_seed: int, 
     dates = tuple(f"t{t:06d}" for t in range(T))
     panel = ReturnsPanel(dates, tuple(f"a{i:04d}" for i in range(N)), Y)
     fpanel = FactorPanel(dates, ("f1", "f2", "f3"), F)
-    out = (instance, panel, fpanel)
-    if len(_MARKET_CACHE) >= _MARKET_CACHE_LIMIT:
-        _MARKET_CACHE.pop(next(iter(_MARKET_CACHE)))
-    _MARKET_CACHE[key] = out
-    return out
+    return instance, panel, fpanel
+
+
+def _market_key(cell: ExperimentCell) -> tuple:
+    params = cell.calibration or default_calibration()
+    return params.fingerprint(), cell.N, cell.T
+
+
+class _Market:
+    """One simulated market and the estimates built on it.
+
+    Every cell of the market shares the simulated data; an estimate is
+    built on first request and reused by each later cell with the same
+    estimator settings.
+    """
+
+    def __init__(self, cell: ExperimentCell, base_seed: int, rep: int):
+        self.key = _market_key(cell) + (int(base_seed), rep)
+        params = cell.calibration or default_calibration()
+        self.instance, self.panel, self.fpanel = _generate_market(
+            params, cell.N, cell.T, base_seed, rep)
+        self._estimates = {}
+
+    def estimate(self, cell: ExperimentCell, name: str) -> tuple:
+        """(estimate, fit for its long-run variance or None, max |Sigma_hat - Sigma|).
+
+        The factor estimator treats the simulated factors as observed and
+        hard-thresholds residual correlations at 0.1 * K * sqrt(log N / T)
+        unless the cell overrides the constant; the POET estimator
+        re-extracts poet_K factors by PCA.
+        """
+        if name == "sample":
+            key = (name,)
+        elif name == "factor":
+            C = cell.factor_C if cell.factor_C is not None else 0.1 * self.fpanel.K
+            key = (name, cell.factor_rule, C)
+        else:
+            key = (name, cell.poet_K, cell.poet_rule, cell.poet_C)
+        if key not in self._estimates:
+            fit = None
+            if name == "sample":
+                est = sample_covariance(self.panel, demean_flag=True)
+            elif name == "factor":
+                fit = ols_factor_fit(self.panel, self.fpanel)
+                est = factor_covariance(fit, ThresholdRule(cell.factor_rule), C)
+            else:
+                fit = pca_factor_fit(self.panel, cell.poet_K)
+                est = poet_covariance(self.panel, cell.poet_K,
+                                      ThresholdRule(cell.poet_rule), cell.poet_C, fit=fit)
+            max_err = float(np.max(np.abs(est.matrix - self.instance.Sigma_true)))
+            self._estimates[key] = (est, fit, max_err)
+        return self._estimates[key]
 
 
 def _quad_forms(matrix: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -432,62 +497,41 @@ def _quad_forms(matrix: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.einsum("ip,ip->p", W, matrix @ W)
 
 
-def run_replication(cell: ExperimentCell, base_seed: int, rep: int) -> ReplicationRecord:
+def run_replication(cell: ExperimentCell, base_seed: int, rep: int,
+                    market: _Market | None = None) -> ReplicationRecord:
     """One full pass of the protocol for one cell.
 
-    Simulates the market, builds every requested estimator, draws the
-    cell's portfolios, and records Delta, xi, U(tau), RE1, RE2 and the
-    coverage indicator per portfolio and estimator.  The factor estimator
-    treats the simulated factors as observed and hard-thresholds residual
-    correlations at 0.1 * K * sqrt(log N / T) unless the cell overrides
-    the constant; the POET estimator re-extracts poet_K factors by PCA.
+    Simulates the market (or takes the one given, which must be this
+    cell's market for base_seed and rep), builds every requested
+    estimator, draws the cell's portfolios, and records Delta, xi,
+    U(tau), RE1, RE2 and the coverage indicator per portfolio and
+    estimator.
     """
-    params = cell.calibration or default_calibration()
-    instance, panel, fpanel = _generate_market(params, cell.N, cell.T, base_seed, rep)
+    if market is None:
+        market = _Market(cell, base_seed, rep)
+    elif market.key != _market_key(cell) + (int(base_seed), rep):
+        raise DataError("the market given was not simulated for this cell and replication")
     N, T, P = cell.N, cell.T, cell.portfolios_per_rep
 
-    estimates = {}
-    fits = {}
-    if "sample" in cell.estimators:
-        estimates["sample"] = sample_covariance(panel, demean_flag=True)
-    if "factor" in cell.estimators:
-        fit = ols_factor_fit(panel, fpanel)
-        C = cell.factor_C if cell.factor_C is not None else 0.1 * fpanel.K
-        estimates["factor"] = factor_covariance(fit, ThresholdRule(cell.factor_rule), C)
-        fits["factor"] = fit
-    if "poet" in cell.estimators:
-        fit = pca_factor_fit(panel, cell.poet_K)
-        estimates["poet"] = poet_covariance(
-            panel, cell.poet_K, ThresholdRule(cell.poet_rule), cell.poet_C, fit=fit
-        )
-        fits["poet"] = fit
-
     rng_pf = derive_rng(base_seed, "portfolios", N, T, float(cell.c), rep)
-    portfolios = [sample_random_portfolio(N, cell.c, rng_pf) for _ in range(P)]
-    W = np.column_stack([pf.weights for pf in portfolios])
+    W = sample_random_weights(N, cell.c, rng_pf, P)
     gross_sq = np.abs(W).sum(axis=0) ** 2
 
-    true_var = _quad_forms(instance.Sigma_true, W)
+    true_var = _quad_forms(market.instance.Sigma_true, W)
     z = hclub_z(cell.tau, paper_z=cell.paper_z)
 
     per_estimator = {}
-    for name, est in estimates.items():
+    for name in cell.estimators:
+        est, fit, max_err = market.estimate(cell, name)
         vhat = _quad_forms(est.matrix, W)
         delta = np.abs(vhat - true_var)
-        max_err = float(np.max(np.abs(est.matrix - instance.Sigma_true)))
         xi = gross_sq * max_err
 
-        sigma2 = np.empty(P)
-        clamped = np.zeros(P, dtype=bool)
-        for j, pf in enumerate(portfolios):
-            if name == "sample":
-                lrv = autocov_sample(panel, pf, L=cell.L)
-            elif name == "factor":
-                lrv = autocov_factor(fits["factor"], pf, L=cell.L)
-            else:
-                lrv = autocov_poet(fits["poet"], pf, L=cell.L)
-            sigma2[j] = lrv.sigma2
-            clamped[j] = lrv.clamped
+        if name == "sample":
+            series, centers = total_return_series(market.panel, W)
+        else:
+            series, centers = systematic_return_series(fit, W)
+        _, sigma2, clamped = long_run_variances(series, centers, cell.L)
 
         u_var = z * np.sqrt(sigma2 / T)
         covered = delta <= u_var
@@ -588,7 +632,11 @@ def _aggregate(cell: ExperimentCell, records: list) -> list:
 
 
 def default_workers() -> int:
-    """Worker count: PRL_THREADS if set, else min(8, cpu count)."""
+    """Worker count: PRL_THREADS if set, else min(8, usable CPUs).
+
+    Usable CPUs are the ones this process may run on (its affinity set)
+    where the platform reports it, else the host's CPU count.
+    """
     env = os.environ.get("PRL_THREADS")
     if env is not None:
         try:
@@ -598,13 +646,19 @@ def default_workers() -> int:
         if n < 1:
             raise DataError(f"PRL_THREADS must be positive, got {n}")
         return n
-    return min(8, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(8, cpus)
 
 
-def _run_task(grid: tuple, base_seed: int, task: tuple) -> tuple:
-    rep, cell_index = task
-    record = run_replication(grid[cell_index], base_seed, rep)
-    return cell_index, rep, record
+def _run_task(grid: tuple, markets: tuple, base_seed: int, task: tuple) -> list:
+    """Run every cell of one market for one replication on one simulation of it."""
+    rep, market_index = task
+    cells = markets[market_index]
+    market = _Market(grid[cells[0]], base_seed, rep)
+    return [(ci, rep, run_replication(grid[ci], base_seed, rep, market)) for ci in cells]
 
 
 def run_experiment(grid, replications: int, workers: int | None = None,
@@ -614,8 +668,9 @@ def run_experiment(grid, replications: int, workers: int | None = None,
     Results are deterministic in (grid, replications, base_seed) and do
     not depend on the worker count: every replication derives its own
     generators, and aggregation follows grid order, then replication
-    order.  Tasks are scheduled replication-major so consecutive tasks
-    share a simulated market whenever cells differ only in exposure.
+    order.  Cells sharing (calibration, N, T) form one market, in order
+    of first appearance in the grid; a task is one (replication, market)
+    pair and simulates that market once for all of its cells.
     """
     grid = tuple(grid)
     if not grid:
@@ -627,18 +682,23 @@ def run_experiment(grid, replications: int, workers: int | None = None,
     if workers < 1:
         raise DataError(f"workers must be positive, got {workers}")
 
-    tasks = [(rep, ci) for rep in range(replications) for ci in range(len(grid))]
+    by_key: dict = {}
+    for ci, cell in enumerate(grid):
+        by_key.setdefault(_market_key(cell), []).append(ci)
+    markets = tuple(tuple(cells) for cells in by_key.values())
+    tasks = [(rep, mi) for rep in range(replications) for mi in range(len(markets))]
     if workers == 1 or len(tasks) == 1:
-        results = [_run_task(grid, base_seed, t) for t in tasks]
+        results = [_run_task(grid, markets, base_seed, t) for t in tasks]
     else:
-        fn = partial(_run_task, grid, base_seed)
+        fn = partial(_run_task, grid, markets, base_seed)
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, tasks, chunksize=chunk))
 
     by_cell: dict = {ci: {} for ci in range(len(grid))}
-    for cell_index, rep, record in results:
-        by_cell[cell_index][rep] = record
+    for batch in results:
+        for cell_index, rep, record in batch:
+            by_cell[cell_index][rep] = record
 
     aggregates = []
     for ci, cell in enumerate(grid):
@@ -672,9 +732,12 @@ def _parse_list(raw: str, cast, key: str) -> tuple:
     if not items:
         raise DataError(f"config key {key}: empty list")
     try:
-        return tuple(cast(x) for x in items)
+        values = tuple(cast(x) for x in items)
     except ValueError:
         raise DataError(f"config key {key}: cannot parse {raw!r}") from None
+    if len(set(values)) != len(values):
+        raise DataError(f"config key {key}: a value is listed twice in {raw!r}")
+    return values
 
 
 _GRID_KEYS = {
@@ -690,9 +753,9 @@ def parse_grid_config(text: str) -> GridConfig:
     Recognized keys: Ns, Ts, cs (comma lists), estimators, L, tau,
     portfolios_per_rep, replications, base_seed, paper_z, factor_rule,
     factor_C, poet_K, poet_C, poet_rule, periods_per_year.  Cells are
-    generated N-major, then T, then c, so cells sharing a simulated
-    market sit next to each other.  Unknown or repeated keys fail with
-    the offending name, not a silent default.
+    generated N-major, then T, then c.  Unknown or repeated keys, and a
+    value listed twice under Ns, Ts, cs or estimators, fail with the
+    offending name, not a silent default.
     """
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

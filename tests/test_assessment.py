@@ -1,9 +1,13 @@
 """Long-run variances, H-CLUB bounds, crude bounds, RE ratios."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import portrisk as pr
+from portrisk.assessment import systematic_return_series, total_return_series
 import oracles
 from helpers import calibrated_market, make_factor_panel, make_panel
 
@@ -231,6 +235,100 @@ def test_negative_truncated_sum_clamps_and_warns():
     assert lrv.clamped
     assert lrv.sigma2 == 0.0
     assert lrv.gammas[0] > 0 > lrv.gammas[1]
+
+
+def _lrv_columns(T, P, seed):
+    """P test series; every other column alternates so L odd clamps it."""
+    rng = np.random.default_rng(seed)
+    series = rng.standard_normal((T, P)) * rng.uniform(0.1, 10.0, size=P)
+    alternating = np.where(np.arange(T) % 2 == 0, 1.0, 2.0)
+    series[:, 1::2] = alternating[:, None] * rng.uniform(0.5, 2.0, size=P // 2)
+    centers = (series * series).mean(axis=0) * rng.uniform(0.5, 1.5, size=P)
+    return series, centers
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(2, 40), P=st.integers(1, 6), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_long_run_variances_match_brute_force(T, P, data, seed):
+    L = data.draw(st.integers(0, T - 1), label="L")
+    series, centers = _lrv_columns(T, P, seed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gammas, sigma2, clamped = pr.long_run_variances(series, centers, L)
+    assert gammas.shape == (L + 1, P) and sigma2.shape == clamped.shape == (P,)
+    eps = np.finfo(float).eps
+    for j in range(P):
+        want = oracles.brute_force_gammas(series[:, j], float(centers[j]), L)
+        q = np.abs(series[:, j] ** 2 - centers[j])
+        for h in range(L + 1):
+            # a T-term sum of products: forward error below ~T eps times
+            # the sum of the magnitudes
+            tol = 4 * T * eps * float(q[: T - h] @ q[h:]) / T
+            assert abs(gammas[h, j] - want[h]) <= tol
+        raw = oracles.brute_force_sigma2(series[:, j], float(centers[j]), L)
+        tol = 4 * T * eps * (2 * L + 1) * float(q @ q) / T
+        assert abs(sigma2[j] - max(raw, 0.0)) <= tol
+        if abs(raw) > tol:
+            assert clamped[j] == (raw < 0)
+    assert np.all(sigma2[clamped] == 0.0)
+    assert len(caught) == (1 if clamped.any() else 0)
+
+
+def test_long_run_variances_clamp_summary_warning():
+    series, centers = _lrv_columns(40, 6, 7)
+    with pytest.warns(RuntimeWarning, match=r"for 3 of 6 portfolios; clamped") as record:
+        _, sigma2, clamped = pr.long_run_variances(series, centers, 1)
+    assert len(record) == 1
+    assert clamped.tolist() == [False, True] * 3
+    assert np.all(sigma2[clamped] == 0.0)
+
+
+def _loop_lrv(series, center, L):
+    """Per-portfolio reference: one dot product per lag, summed in order."""
+    T = series.shape[0]
+    q = series * series - center
+    gammas = [float(q[: T - h] @ q[h:]) / T for h in range(L + 1)]
+    return gammas, max(gammas[0] + 2.0 * sum(gammas[1:]), 0.0)
+
+
+def test_batched_lrvs_equal_the_per_portfolio_loop():
+    # the arithmetic is unchanged by batching, so every column must match
+    # the per-portfolio computation bit for bit, as must the P=1 callers
+    _, panel, fpanel = calibrated_market(30, 80, 167)
+    W = pr.sample_random_weights(30, 1.6, pr.derive_rng(167, "batch-lrv"), 9)
+    factor = pr.ols_factor_fit(panel, fpanel)
+    poet = pr.pca_factor_fit(panel, 3)
+    X = panel.demeaned_values
+
+    def sample_ref(w):
+        p = X @ w
+        return p, float(p @ p) / panel.T
+
+    def factor_ref(w):
+        b = factor.loadings.T @ w
+        return factor.factors @ b, float(b @ factor.factor_cov @ b)
+
+    def poet_ref(w):
+        b = poet.loadings.T @ w
+        return poet.factors @ b, float(b @ b)
+
+    cases = [
+        (total_return_series(panel, W), sample_ref, lambda w: pr.autocov_sample(panel, w, L=4)),
+        (systematic_return_series(factor, W), factor_ref,
+         lambda w: pr.autocov_factor(factor, w, L=4)),
+        (systematic_return_series(poet, W), poet_ref, lambda w: pr.autocov_poet(poet, w, L=4)),
+    ]
+    for (series, centers), reference, single in cases:
+        gammas, sigma2, clamped = pr.long_run_variances(series, centers, 4)
+        for j in range(W.shape[1]):
+            w = W[:, j].copy()
+            ref_gammas, ref_sigma2 = _loop_lrv(*reference(w), 4)
+            assert gammas[:, j].tolist() == ref_gammas
+            assert sigma2[j] == ref_sigma2
+            one = single(w)
+            assert list(one.gammas) == ref_gammas and one.sigma2 == ref_sigma2
+            assert one.clamped == clamped[j]
 
 
 def test_sigma2_scale_equivariance():

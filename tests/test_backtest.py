@@ -168,3 +168,28 @@ def test_poet_reselects_factor_count_when_unpinned():
     assert report.n_rebalances == 2
     assert {r.estimator for r in report.records} == {"poet"}
     assert report.aggregate("equal", "poet").n_windows == 2
+
+
+@pytest.mark.parametrize("exposures", [(1.2345678, 1.2345679), (1.6, 1.6)])
+def test_exposures_sharing_a_label_are_rejected(exposures):
+    # both would be reported as one minvar_c label with doubled windows
+    with pytest.raises(pr.DataError, match="label"):
+        pr.BacktestConfig(exposures=exposures)
+
+
+def test_min_variance_gets_the_exposure_itself(monkeypatch):
+    # the label rounds c to six digits; the solver must see c unrounded
+    seen = []
+    solve = pr.backtest.min_variance
+
+    def spy(est, c, opts=None):
+        seen.append(c)
+        return solve(est, c, opts)
+
+    monkeypatch.setattr(pr.backtest, "min_variance", spy)
+    returns, factors = _market(8, 81, 241)
+    cfg = pr.BacktestConfig(estimation_window=60, holding_window=21,
+                            estimators=("factor",), exposures=(1.23456789,), L=3)
+    report = pr.run_empirical_study(returns, factors, cfg)
+    assert seen == [1.23456789]
+    assert [r.strategy for r in report.records] == ["equal", "minvar_c1.23457"]

@@ -111,6 +111,57 @@ def test_sampler_validation():
     with pytest.raises(pr.DataError):
         pr.sample_random_portfolio(5, 0.8, rng)
 
+def _reference_portfolio(N, c, rng):
+    """One draw the long way: separate long and short exponential draws."""
+    p_long = (c + 1.0) / (2.0 * c)
+    for _ in range(100):
+        k = int(rng.binomial(N, p_long))
+        if c == 1.0 or 0 < k < N:
+            break
+    else:
+        raise pr.DataError("both sides could not be populated")
+    long_raw = rng.standard_exponential(k)
+    longs = (c + 1.0) / 2.0 * long_raw / long_raw.sum() if k else np.empty(0)
+    shorts = np.empty(0)
+    if N - k:
+        short_raw = rng.standard_exponential(N - k)
+        shorts = -(c - 1.0) / 2.0 * short_raw / short_raw.sum()
+    return np.concatenate([longs, shorts])[rng.permutation(N)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 600])
+@pytest.mark.parametrize("c", [1.0, 1.6, 4.0])
+def test_batched_sampler_equals_sequential_draws(N, c):
+    P = 25
+    rngs = [pr.derive_rng(113, "batch", N, c) for _ in range(3)]
+    draws = [lambda: _reference_portfolio(N, c, rngs[0]),
+             lambda: pr.sample_random_portfolio(N, c, rngs[1]).weights]
+    if N == 1 and c > 1.0:
+        # no single-asset long-short book: every form gives up alike
+        for draw in draws:
+            with pytest.raises(pr.DataError):
+                draw()
+        with pytest.raises(pr.DataError):
+            pr.sample_random_weights(N, c, rngs[2], P)
+        return
+    want = [np.column_stack([draw() for _ in range(P)]) for draw in draws]
+    got = pr.sample_random_weights(N, c, rngs[2], P)
+    assert got.shape == (N, P)
+    assert np.array_equal(got, want[0]) and np.array_equal(got, want[1])
+    # every stream stands at the same state afterwards
+    assert len({rng.random() for rng in rngs}) == 1
+
+
+def test_batched_sampler_validation():
+    rng = pr.derive_rng(115, "bad")
+    with pytest.raises(pr.DataError):
+        pr.sample_random_weights(5, 1.5, rng, 0)
+    with pytest.raises(pr.DataError):
+        pr.sample_random_weights(0, 1.5, rng, 3)
+    with pytest.raises(pr.DataError):
+        pr.sample_random_weights(5, 0.8, rng, 3)
+
+
 # ------------------------------------------------------------- min variance
 
 def _estimate(Sigma):

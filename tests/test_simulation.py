@@ -1,6 +1,8 @@
 """Calibration tables, market generators, and the replication protocol."""
 
 import dataclasses
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from portrisk.simulation import (
     _generate_market,
     _hard_threshold_corr,
     _is_pd,
-    _MARKET_CACHE,
+    _Market,
+    _run_task,
 )
 
 
@@ -172,6 +175,40 @@ def test_error_cov_threshold_is_minimal():
     assert np.linalg.eigvalsh(sigma_u)[0] > 0
 
 
+def _plain_bisection_error_cov(params, N, rng):
+    """The threshold search with a factorization at every midpoint."""
+    sds = _draw_error_sds(params, N, rng)
+    corr = np.eye(N)
+    iu = np.triu_indices(N, k=1)
+    draws = np.clip(rng.normal(params.corr_mean, params.corr_sd, size=iu[0].size),
+                    -params.corr_cap, params.corr_cap)
+    corr[iu] = draws
+    corr[(iu[1], iu[0])] = draws
+    threshold = 0.0
+    if not _is_pd(corr):
+        lo, hi = 0.0, float(np.max(np.abs(corr - np.eye(N))))
+        while hi - lo > 1e-6:
+            mid = (lo + hi) / 2.0
+            if _is_pd(_hard_threshold_corr(corr, mid)):
+                hi = mid
+            else:
+                lo = mid
+        threshold = hi
+        corr = _hard_threshold_corr(corr, threshold)
+    return corr * np.outer(sds, sds), corr, threshold
+
+
+@pytest.mark.parametrize("N", [100, 600])
+def test_error_cov_search_equals_plain_bisection(N):
+    params = pr.default_calibration()
+    for seed in range(2):
+        got = _error_cov_detail(params, N, pr.derive_rng(seed, "bisect", N))
+        want = _plain_bisection_error_cov(params, N, pr.derive_rng(seed, "bisect", N))
+        assert got[2] == want[2]
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
 def test_var1_factors_shape_and_degenerate_limit():
     p = pr.default_calibration()
     F = pr.generate_var1_factors(p, 7, pr.derive_rng(177, "shape"))
@@ -239,6 +276,11 @@ def test_experiment_cell_validation():
         pr.ExperimentCell(N=10, T=50, c=1.0, portfolios_per_rep=0)
 
 
+def test_experiment_cell_rejects_repeated_estimator():
+    with pytest.raises(pr.DataError, match="estimator twice"):
+        pr.ExperimentCell(N=10, T=50, c=1.0, estimators=("sample", "sample"))
+
+
 def test_run_replication_deterministic():
     cell = pr.ExperimentCell(N=12, T=40, c=1.5, portfolios_per_rep=6)
     a = pr.run_replication(cell, 99, 3)
@@ -304,17 +346,63 @@ def test_run_replication_is_fast_at_benchmark_size():
     assert time.monotonic() - start < 5.0
 
 
-def test_market_cache_hit_equals_miss():
+def test_generate_market_is_deterministic():
     params = pr.default_calibration()
     key_args = (params, 9, 25, 401, 2)
     first = _generate_market(*key_args)
     again = _generate_market(*key_args)
-    assert again is first  # served from the cache
-    _MARKET_CACHE.clear()
-    rebuilt = _generate_market(*key_args)
-    assert rebuilt is not first
-    assert np.array_equal(rebuilt[1].values, first[1].values)
-    assert np.array_equal(rebuilt[0].Sigma_true, first[0].Sigma_true)
+    assert again is not first
+    for a, b in zip(first[0].__dict__.values(), again[0].__dict__.values()):
+        assert np.array_equal(a, b)
+    for a, b in zip(first[1:], again[1:]):
+        assert np.array_equal(a.values, b.values) and a.dates == b.dates
+
+
+def test_cell_in_market_group_equals_cell_alone():
+    # a market shared by cells with different exposures and estimator
+    # settings gives each cell the bits it gets when run on its own
+    base = dict(N=14, T=40, portfolios_per_rep=7, poet_K=2)
+    grid = (pr.ExperimentCell(c=1.0, **base),
+            pr.ExperimentCell(c=1.7, estimators=("poet", "factor"), poet_C=0.8,
+                              factor_C=0.5, **base),
+            pr.ExperimentCell(c=1.7, estimators=("sample", "poet"), L=3, **base))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        grouped = _run_task(grid, ((0, 1, 2),), 23, (4, 0))
+        assert [ci for ci, _, _ in grouped] == [0, 1, 2]
+        for ci, rep, rec in grouped:
+            alone = pr.run_replication(grid[ci], 23, rep)
+            assert np.array_equal(rec.true_variance, alone.true_variance)
+            assert list(rec.per_estimator) == list(alone.per_estimator)
+            for name, fields in rec.per_estimator.items():
+                for field, arr in fields.items():
+                    assert np.array_equal(arr, alone.per_estimator[name][field],
+                                          equal_nan=True), (ci, name, field)
+
+
+def test_run_replication_rejects_another_market():
+    cell = pr.ExperimentCell(N=8, T=30, c=1.0, portfolios_per_rep=3)
+    market = _Market(cell, 5, 0)
+    pr.run_replication(cell, 5, 0, market)
+    for other, seed, rep in ((dataclasses.replace(cell, N=9), 5, 0), (cell, 6, 0),
+                             (cell, 5, 1)):
+        with pytest.raises(pr.DataError, match="market"):
+            pr.run_replication(other, seed, rep, market)
+
+
+def test_run_replication_summarizes_clamped_portfolios():
+    cell = pr.ExperimentCell(N=6, T=24, c=1.5, portfolios_per_rep=30, L=8,
+                             estimators=("sample", "factor", "poet"), poet_K=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = pr.run_replication(cell, 11, 0)
+    clamped = {name: int(d["clamped"].sum()) for name, d in rec.per_estimator.items()}
+    assert sum(clamped.values()) > 0
+    messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+    # one warning per estimator that clamped, carrying its count
+    assert sorted(messages) == sorted(
+        f"truncated long-run variance was negative for {n} of 30 portfolios; clamped to 0"
+        for n in clamped.values() if n)
 
 
 def test_cells_differing_only_in_exposure_share_markets():
@@ -341,6 +429,23 @@ def test_run_experiment_worker_count_invariance():
     two = pr.run_experiment(grid, 6, workers=2, base_seed=11)
     assert one.cells == two.cells
     assert one.replications == 6 and one.base_seed == 11
+
+
+def test_run_experiment_groups_cells_by_market():
+    # cells of one market apart in the grid, next to a cell of another:
+    # each aggregate equals that of the cell run alone, in grid order
+    grid = [pr.ExperimentCell(N=6, T=24, c=1.0, portfolios_per_rep=4,
+                              estimators=("sample", "poet"), poet_K=2),
+            pr.ExperimentCell(N=7, T=24, c=1.0, portfolios_per_rep=4,
+                              estimators=("sample",)),
+            pr.ExperimentCell(N=6, T=24, c=1.5, portfolios_per_rep=4,
+                              estimators=("factor",))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = pr.run_experiment(grid, 3, workers=1, base_seed=19)
+        alone = [agg for cell in grid
+                 for agg in pr.run_experiment([cell], 3, workers=1, base_seed=19).cells]
+    assert report.cells == tuple(alone)
 
 
 def test_run_experiment_aggregates_recompute():
@@ -443,6 +548,33 @@ def test_parse_grid_config_errors_name_the_key_and_line():
         pr.parse_grid_config("Ns = 5\nTs = 20\ncs = 1\nestimators = ledoit\n")
     with pytest.raises(pr.DataError, match="empty list"):
         pr.parse_grid_config("Ns =\nTs = 20\ncs = 1\n")
+
+
+@pytest.mark.parametrize("key, line", [
+    ("Ns", "Ns = 5, 6, 5"), ("Ts", "Ts = 20, 20"), ("cs", "cs = 1.0, 1"),
+    ("estimators", "estimators = sample, poet, sample"),
+])
+def test_parse_grid_config_rejects_repeated_values(key, line):
+    lines = {"Ns": "Ns = 5", "Ts": "Ts = 20", "cs": "cs = 1"}
+    lines[key] = line
+    with pytest.raises(pr.DataError, match=f"config key {key}: a value is listed twice"):
+        pr.parse_grid_config("\n".join(lines.values()) + "\n")
+
+
+def test_default_workers_counts_usable_cpus(monkeypatch):
+    monkeypatch.delenv("PRL_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert default_workers() == 3
+    monkeypatch.setenv("PRL_THREADS", "5")
+    assert default_workers() == 5
+    monkeypatch.delenv("PRL_THREADS")
+    # platforms without an affinity call fall back to the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert default_workers() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert default_workers() == 8
 
 
 def test_default_workers_env_override(monkeypatch):
