@@ -401,6 +401,8 @@ class ExperimentCell:
             raise DataError(f"cell needs N >= 1 and T >= 2, got N={self.N}, T={self.T}")
         if self.c < 1.0:
             raise DataError(f"gross exposure must be at least 1, got {self.c}")
+        if not 0 <= self.L < self.T:
+            raise DataError(f"lag truncation must satisfy 0 <= L < T, got L={self.L}, T={self.T}")
         bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
         if bad:
             raise DataError(f"unknown estimator name(s) {bad}; valid: {ESTIMATOR_NAMES}")

@@ -6,6 +6,12 @@ enumeration) and without importing anything from portrisk, so agreement
 between the two codebases is meaningful evidence rather than a tautology.
 scipy is a test-only dependency and supplies the high-precision special
 functions.
+
+The one exception is min_variance_apg at the end: a verbatim copy of the
+package's accelerated projected-gradient solver (with its simplex
+projection and KKT check) from before the active-set finish, kept as the
+reference the current solver must reproduce.  It uses the package's
+Portfolio, SolverOptions and input validation.
 """
 
 import itertools
@@ -13,6 +19,10 @@ import math
 
 import numpy as np
 from scipy import special, stats
+
+from portrisk.errors import NumericalError
+from portrisk.estimators import CovarianceEstimate
+from portrisk.portfolios import Portfolio, SolverOptions, _exposure_value
 
 
 def quantile_oracle(p: float) -> float:
@@ -159,3 +169,148 @@ def max_abs_entry_diff(A: np.ndarray, B: np.ndarray) -> float:
         for j in range(A.shape[1]):
             worst = max(worst, abs(A[i, j] - B[i, j]))
     return worst
+
+
+# ------------------------------------------- pre-active-set solver (copy)
+
+def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum x = total}."""
+    if total <= 0.0:
+        return np.zeros_like(v)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - total
+    ks = np.arange(1, v.size + 1)
+    rho = np.nonzero(u * ks > css)[0][-1]
+    return np.maximum(v - css[rho] / (rho + 1), 0.0)
+
+
+def _certify_kkt(M: np.ndarray, w: np.ndarray, c: float, support_cut: float):
+    """Solve the equality-constrained problem on the detected support and
+    check the full KKT system for min w'Mw s.t. sum w = 1, ||w||_1 <= c.
+
+    Returns the certified optimal weights, or None when the candidate
+    support does not produce a consistent multiplier pair.  For c = 1 the
+    exposure constraint coincides with the budget constraint on the
+    simplex, so only the single equality multiplier is solved for.
+    """
+    scale = float(np.max(np.abs(w)))
+    support = np.abs(w) > support_cut * scale
+    m = int(support.sum())
+    if m < 1:
+        return None
+    long_only = c == 1.0
+    s = np.ones(m) if long_only else np.sign(w[support])
+    n_con = 1 if long_only else 2
+    sub = M[np.ix_(support, support)]
+    kkt = np.zeros((m + n_con, m + n_con))
+    kkt[:m, :m] = 2.0 * sub
+    kkt[:m, m] = 1.0
+    kkt[m, :m] = 1.0
+    rhs = np.zeros(m + n_con)
+    rhs[m] = 1.0
+    if not long_only:
+        kkt[:m, m + 1] = s
+        kkt[m + 1, :m] = s
+        rhs[m + 1] = c
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    w_s, lam = sol[:m], sol[m]
+    mu = 0.0 if long_only else sol[m + 1]
+    gtol = 1e-8 * (1.0 + abs(lam) + abs(mu))
+    if mu < -gtol or np.any(w_s * s < -1e-10):
+        return None
+    full = np.zeros_like(w)
+    full[support] = w_s
+    grad = 2.0 * (M @ full) + lam
+    off = ~support
+    if long_only:
+        # at zero weights the gradient must point into the simplex
+        if np.any(grad[off] < -gtol):
+            return None
+    elif np.any(np.abs(grad[off]) > mu + gtol):
+        return None
+    return full
+
+
+def min_variance_apg(estimate: CovarianceEstimate, c, opts: SolverOptions | None = None) -> Portfolio:
+    """Minimize w'Sigma w subject to sum w = 1 and ||w||_1 <= c.
+
+    The gross-exposure budget is the convex relaxation of an exact
+    exposure target; whenever shorting pays, the budget binds and the
+    solution has ||w||_1 = c.  If the unconstrained minimum-variance
+    portfolio already fits the budget it is returned directly.  Otherwise
+    the problem is split as w = p - n with p on a simplex of mass
+    (c+1)/2 and n on a simplex of mass (c-1)/2 and solved by accelerated
+    projected gradient with adaptive restarts; an active-set refinement
+    runs periodically and returns early with a KKT-certified exact
+    solution when the support has settled.
+    """
+    opts = opts or SolverOptions()
+    c = _exposure_value(c)
+    M = estimate.matrix
+    N = estimate.N
+    if estimate.min_eigenvalue <= 1e-10:
+        raise NumericalError(
+            f"covariance is not positive definite (min eigenvalue "
+            f"{estimate.min_eigenvalue:.3e}); re-threshold before optimizing"
+        )
+    ones = np.ones(N)
+    gmv = np.linalg.solve(M, ones)
+    gmv /= gmv.sum()
+    if np.abs(gmv).sum() <= c * (1.0 + 1e-12) + 1e-12:
+        return Portfolio(gmv)
+
+    mass_p = (c + 1.0) / 2.0
+    mass_n = (c - 1.0) / 2.0
+    step = 1.0 / (4.0 * estimate.max_eigenvalue)
+
+    p = _project_simplex(np.full(N, 1.0 / N), mass_p)
+    n = _project_simplex(np.zeros(N), mass_n)
+    yp, yn = p.copy(), n.copy()
+    t = 1.0
+
+    def objective(dp, dn):
+        d = dp - dn
+        return float(d @ M @ d)
+
+    fx = objective(p, n)
+    f_window = fx
+    stalled = False
+    for it in range(1, opts.max_iter + 1):
+        g = 2.0 * (M @ (yp - yn))
+        p_new = _project_simplex(yp - step * g, mass_p)
+        n_new = _project_simplex(yn + step * g, mass_n)
+        f_new = objective(p_new, n_new)
+        if f_new > fx:
+            # momentum overshoot: restart from the last accepted point
+            g = 2.0 * (M @ (p - n))
+            p_new = _project_simplex(p - step * g, mass_p)
+            n_new = _project_simplex(n + step * g, mass_n)
+            f_new = objective(p_new, n_new)
+            t = 1.0
+        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        beta = (t - 1.0) / t_new
+        yp = p_new + beta * (p_new - p)
+        yn = n_new + beta * (n_new - n)
+        p, n, fx, t = p_new, n_new, f_new, t_new
+
+        if it % 100 == 0:
+            for cut in (1e-6, 1e-4, 1e-8):
+                refined = _certify_kkt(M, p - n, c, cut)
+                if refined is not None:
+                    return Portfolio(refined)
+            if f_window - fx <= opts.tol * max(fx, 1e-300):
+                if stalled:
+                    break
+                stalled = True
+            else:
+                stalled = False
+            f_window = fx
+    else:
+        if not stalled:
+            raise NumericalError(
+                f"minimum-variance solver did not converge in {opts.max_iter} iterations"
+            )
+    return Portfolio(p - n)

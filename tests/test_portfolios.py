@@ -1,10 +1,18 @@
 """Random portfolio sampler and the constrained minimum-variance solver."""
 
+import re
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import portrisk as pr
+import portrisk.portfolios as pf
 import oracles
+from portrisk.backtest import _window_estimate
+from portrisk.simulation import generate_var1_factors
 
 
 def test_equal_weight():
@@ -229,3 +237,129 @@ def test_min_variance_rejects_bad_inputs():
     rank1 = np.outer(np.ones(3), np.ones(3)) + 1e-14 * np.eye(3)
     with pytest.raises(pr.NumericalError):
         pr.min_variance(_estimate(rank1), c=1.5)
+
+
+# ------------------------------------- active-set finish against plain APG
+
+def _oracle_solve(est, c):
+    """The pre-active-set solver's weights, and whether it certified them
+    (the unconstrained optimum counts as certified)."""
+    results = []
+    real = oracles._certify_kkt
+
+    def certify(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    with mock.patch.object(oracles, "_certify_kkt", certify):
+        w = oracles.min_variance_apg(est, c).weights
+    return w, not results or results[-1] is not None
+
+
+def _factor_matrix(N, K, seed):
+    """Factor-plus-diagonal covariance with market-like positive betas."""
+    rng = np.random.default_rng(seed)
+    B = rng.normal(1.0, 0.7, size=(N, K))
+    A = rng.standard_normal((K, K))
+    cov_f = A @ A.T / K + 0.1 * np.eye(K)
+    return B @ cov_f @ B.T + np.diag(rng.uniform(0.1, 2.0, size=N))
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(2, 40), K=st.integers(1, 3),
+       c=st.sampled_from([1.0, 1.2, 1.6, 2.0]), seed=st.integers(0, 2**32 - 1))
+def test_min_variance_matches_apg_oracle(N, K, c, seed):
+    Sigma = _factor_matrix(N, K, seed)
+    est = _estimate(Sigma)
+    want, certified = _oracle_solve(est, c)
+    with warnings.catch_warnings():
+        # an uncertified result warns; its checks below still apply
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = pr.min_variance(est, c).weights
+    if certified:
+        assert got.tobytes() == want.tobytes()
+    assert abs(got.sum() - 1.0) <= 1e-9
+    assert np.abs(got).sum() <= c + 1e-9
+    # two evaluations of one quadratic form in float64 differ by at most
+    # a few N eps relative
+    obj, obj_ref = float(got @ Sigma @ got), float(want @ Sigma @ want)
+    assert obj <= obj_ref * (1.0 + 8 * N * np.finfo(float).eps)
+
+
+def test_kkt_check_rejects_a_negative_exposure_multiplier():
+    # on the support (+, -) of the identity at c = 3 the equality solution
+    # (2, -1) has the right signs but a negative exposure multiplier: the
+    # budget is slack there, and the optimum is the equal-weight book
+    M = np.eye(2)
+    assert pf._certify_kkt(M, np.array([1.0, -1.0]), 3.0) is None
+    assert np.allclose(pf._certify_kkt(M, np.array([1.0, 1.0]), 1.0), 0.5)
+
+
+def test_unsettled_active_set_falls_back_to_apg(monkeypatch):
+    # flipping every sign means the support never settles; the solver
+    # must then finish with the certified APG answer of the old solver
+    calls = []
+
+    def never_settles(M, pattern, c):
+        calls.append(pattern)
+        return -pattern
+
+    monkeypatch.setattr(pf, "_active_set_step", never_settles)
+    est = _estimate(_factor_matrix(30, 2, 71))
+    for c in (1.0, 1.2, 1.6):
+        calls.clear()
+        want, certified = _oracle_solve(est, c)
+        assert certified
+        assert pr.min_variance(est, c).weights.tobytes() == want.tobytes()
+        assert len(calls) == pf._ACTIVE_SET_STEPS
+
+
+@pytest.fixture(scope="module")
+def backtest_factor_estimate():
+    """The factor estimate of one N=300, 252-period backtest window."""
+    params = pr.default_calibration()
+    rng = pr.derive_rng(67, "minvar")
+    inst = pr.build_model_instance(params, 300, rng)
+    F = generate_var1_factors(params, 252, rng)
+    U = rng.standard_normal((252, 300)) @ np.linalg.cholesky(inst.Sigma_u).T
+    dates = tuple(f"d{t:04d}" for t in range(252))
+    returns = pr.ReturnsPanel(dates, tuple(f"a{i:03d}" for i in range(300)),
+                              F @ inst.B.T + U)
+    factors = pr.FactorPanel(dates, ("f1", "f2", "f3"), F)
+    est, _ = _window_estimate("factor", returns, factors, pr.BacktestConfig())
+    return est
+
+
+@pytest.mark.parametrize("c", [1.0, 1.6, 2.0])
+def test_min_variance_on_backtest_window_equals_apg_oracle(backtest_factor_estimate, c):
+    est = backtest_factor_estimate
+    want, certified = _oracle_solve(est, c)
+    finished = []
+    real = pf._active_set
+
+    def active_set(*args):
+        finished.append(real(*args))
+        return finished[-1]
+
+    with mock.patch.object(pf, "_active_set", active_set):
+        got = pr.min_variance(est, c).weights
+    assert certified
+    assert len(finished) == 1 and finished[0] is not None
+    assert got.tobytes() == want.tobytes()
+
+
+def test_stalled_solver_warns_once_and_keeps_its_iterate(monkeypatch):
+    # the unconstrained optimum of this matrix has gross exposure 2.48
+    est = _estimate(_factor_matrix(30, 2, 71))
+    monkeypatch.setattr(pf, "_certify_kkt", lambda *args: None)
+    monkeypatch.setattr(oracles, "_certify_kkt", lambda *args: None)
+    want = oracles.min_variance_apg(est, 1.6).weights
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = pr.min_variance(est, 1.6).weights
+    assert got.tobytes() == want.tobytes()
+    assert len(caught) == 1
+    assert caught[0].category is RuntimeWarning
+    assert re.search(r"stalled after \d+ iterations .*relative objective change "
+                     r"\d\.\d{3}e[-+]\d+", str(caught[0].message))
+

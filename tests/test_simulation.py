@@ -281,6 +281,20 @@ def test_experiment_cell_rejects_repeated_estimator():
         pr.ExperimentCell(N=10, T=50, c=1.0, estimators=("sample", "sample"))
 
 
+def test_lag_truncation_checked_before_any_market_is_simulated(monkeypatch):
+    def no_market(*args):
+        raise AssertionError("a market was simulated")
+
+    monkeypatch.setattr(pr.simulation, "_generate_market", no_market)
+    for L in (6, 7, -1):
+        with pytest.raises(pr.DataError, match=f"L={L}, T=6"):
+            pr.ExperimentCell(N=300, T=6, c=1.0, L=L)
+    with pytest.raises(pr.DataError, match="L=6, T=6"):
+        pr.parse_grid_config("Ns = 300\nTs = 20, 6\ncs = 1\nL = 6\n")
+    assert pr.ExperimentCell(N=300, T=6, c=1.0, L=5).L == 5
+    assert pr.ExperimentCell(N=300, T=6, c=1.0, L=0).L == 0
+
+
 def test_run_replication_deterministic():
     cell = pr.ExperimentCell(N=12, T=40, c=1.5, portfolios_per_rep=6)
     a = pr.run_replication(cell, 99, 3)
