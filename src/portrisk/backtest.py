@@ -98,8 +98,8 @@ class BacktestConfig:
         if not 0 < self.tau < 1:
             raise DataError(f"tau must lie in (0, 1), got {self.tau}")
         for c in self.exposures:
-            if c < 1.0:
-                raise DataError(f"gross exposure must be at least 1, got {c}")
+            if not c >= 1.0:
+                raise DataError(f"gross exposure must be a number at least 1, got c={c}")
         labels = [_minvar_label(c) for c in self.exposures]
         if len(set(labels)) != len(labels):
             raise DataError(

@@ -19,21 +19,27 @@ T, replication) and portfolio streams additionally by c, so cells that
 differ only in exposure see the same simulated markets (common random
 numbers) while remaining fully deterministic for any worker count.
 
-An experiment is scheduled market-major: one task per (replication,
-market), where a market is the set of grid cells sharing (calibration,
-N, T).  A task simulates its market once, builds each distinct estimate
-once, and then evaluates every cell of the market with the batched
-portfolio sampler and long-run-variance kernel.
+An experiment is scheduled market-major: one task per (market, block of
+consecutive replications), where a market is the set of grid cells
+sharing (calibration, N, T).  A task draws the loadings and error
+covariances of its block, steps the VAR(1) factor chains of the whole
+block together, and then takes one replication at a time: it draws that
+market's errors, builds each distinct estimate once, and evaluates every
+cell of the market with the batched portfolio sampler and
+long-run-variance kernel.  Blocks are sized so that the error and true
+covariances they hold, and their factor chains, each stay within a fixed
+memory budget; from N = 182 on a block is a single replication.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -142,8 +148,6 @@ class CalibrationParams:
             raise DataError("need 0 < sd_min <= sd_max")
         if not 0 < self.corr_cap < 1:
             raise DataError("corr_cap must lie in (0, 1)")
-
-    def fingerprint(self) -> str:
         parts = []
         for name in ("mu_B", "Sigma_B", "mu_f", "Phi", "cov_f"):
             parts.extend(repr(float(v)) for v in getattr(self, name).ravel())
@@ -152,7 +156,13 @@ class CalibrationParams:
             "sd_min", "sd_max", "corr_cap",
         ):
             parts.append(repr(float(getattr(self, name))))
-        return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+        # every field is immutable, so the digest is taken once, here
+        object.__setattr__(self, "_fingerprint",
+                           hashlib.sha256("|".join(parts).encode()).hexdigest()[:16])
+
+    def fingerprint(self) -> str:
+        """16 hex digits of a SHA-256 over every parameter value."""
+        return self._fingerprint
 
 
 def default_calibration() -> CalibrationParams:
@@ -183,6 +193,12 @@ def default_calibration() -> CalibrationParams:
             (0.7783, 0.0102, 0.6586),
         ),
     )
+
+
+@cache
+def _default_calibration() -> CalibrationParams:
+    """The calibration of cells that name none, built once: it is immutable."""
+    return default_calibration()
 
 
 def diversified_calibration() -> CalibrationParams:
@@ -331,17 +347,37 @@ def generate_var1_factors(params: CalibrationParams, T: int, rng) -> np.ndarray:
     The chain starts at its stationary mean and discards VAR_BURN_IN
     steps, which drives initial transients far below double precision for
     any spectral radius this package accepts.
+
+    rng may also be a sequence of R generators, one per chain.  Each
+    draws its chain's innovations in turn, all chains step together, and
+    the result is R x T x 3.  A chain's product Phi f_{t-1} is one slice
+    of a stacked np.matmul, the same BLAS gemv call a lone chain makes, so
+    every path is bit-identical to the one its generator gives alone.
     """
     if T < 1:
         raise DataError("T must be at least 1")
+    single = hasattr(rng, "standard_normal")
+    rngs = (rng,) if single else tuple(rng)
     root = _psd_root(solve_lyapunov(params.Phi, params.cov_f), "Sigma_eps")
-    innovations = rng.standard_normal((VAR_BURN_IN + T, 3)) @ root.T
-    out = np.empty((VAR_BURN_IN + T, 3))
-    x = stationary_mean(params)
-    for t in range(VAR_BURN_IN + T):
-        x = params.mu_f + params.Phi @ x + innovations[t]
-        out[t] = x
-    return out[VAR_BURN_IN:]
+    steps, R = VAR_BURN_IN + T, len(rngs)
+    # time-major column vectors; row t holds every chain's innovation at
+    # step t until the recursion overwrites it with the chains' state
+    paths = np.empty((steps, R, 3, 1))
+    for r, g in enumerate(rngs):
+        paths[:, r, :, 0] = g.standard_normal((steps, 3)) @ root.T
+    # mu at full shape: a broadcasting add costs about twice as much per step
+    mu = np.empty((R, 3, 1))
+    mu[...] = params.mu_f[:, None]
+    x = np.empty((R, 3, 1))
+    x[...] = stationary_mean(params)[:, None]
+    Phi, add, matmul = params.Phi, np.add, np.matmul
+    for eps in paths:
+        y = matmul(Phi, x)
+        add(mu, y, y)
+        add(y, eps, eps)
+        x = eps
+    out = paths[VAR_BURN_IN:, :, :, 0].transpose(1, 0, 2).copy()
+    return out[0] if single else out
 
 
 @dataclass
@@ -399,8 +435,8 @@ class ExperimentCell:
     def __post_init__(self):
         if self.N < 1 or self.T < 2:
             raise DataError(f"cell needs N >= 1 and T >= 2, got N={self.N}, T={self.T}")
-        if self.c < 1.0:
-            raise DataError(f"gross exposure must be at least 1, got {self.c}")
+        if not 1.0 <= self.c < math.inf:
+            raise DataError(f"gross exposure must be a finite number at least 1, got c={self.c}")
         if not 0 <= self.L < self.T:
             raise DataError(f"lag truncation must satisfy 0 <= L < T, got L={self.L}, T={self.T}")
         bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
@@ -426,26 +462,43 @@ class ReplicationRecord:
     per_estimator: dict                  # name -> dict of (P,) arrays
 
 
-def _generate_market(params: CalibrationParams, N: int, T: int, base_seed: int, rep: int):
-    """Instance, returns panel and factor panel of one (N, T, rep) market.
+def _calibration(cell: ExperimentCell) -> CalibrationParams:
+    return cell.calibration or _default_calibration()
 
-    A deterministic function of its arguments: the model stream is keyed
-    by (base_seed, N, T, rep).
+
+def _generate_markets(params: CalibrationParams, N: int, T: int, base_seed: int, reps):
+    """Instance, returns panel and factor panel of each (N, T, rep) market.
+
+    Yields one market per replication of reps, in order.  Each is a
+    deterministic function of its own arguments: the model stream is keyed
+    by (base_seed, N, T, rep) and consumed in the order loadings, error
+    covariance, VAR(1) innovations, errors.  The instances and factor paths
+    of all of reps are drawn up front, the factor chains in one stacked
+    recursion; the errors and panels of a market are drawn when it is
+    asked for.
     """
-    rng = derive_rng(base_seed, "model", N, T, rep)
-    instance = build_model_instance(params, N, rng)
-    F = generate_var1_factors(params, T, rng)
-    U = rng.standard_normal((T, N)) @ np.linalg.cholesky(instance.Sigma_u).T
-    Y = F @ instance.B.T + U
+    rngs = [derive_rng(base_seed, "model", N, T, rep) for rep in reps]
+    instances = [build_model_instance(params, N, rng) for rng in rngs]
+    factors = generate_var1_factors(params, T, rngs)
     dates = tuple(f"t{t:06d}" for t in range(T))
-    panel = ReturnsPanel(dates, tuple(f"a{i:04d}" for i in range(N)), Y)
-    fpanel = FactorPanel(dates, ("f1", "f2", "f3"), F)
-    return instance, panel, fpanel
+    assets = tuple(f"a{i:04d}" for i in range(N))
+    for instance, F, rng in zip(instances, factors, rngs):
+        U = rng.standard_normal((T, N)) @ np.linalg.cholesky(instance.Sigma_u).T
+        market = (instance, ReturnsPanel(dates, assets, F @ instance.B.T + U),
+                  FactorPanel(dates, ("f1", "f2", "f3"), F))
+        # the frame stays suspended while the caller uses the market: drop U
+        del U
+        yield market
+
+
+def _generate_market(params: CalibrationParams, N: int, T: int, base_seed: int, rep: int):
+    """Instance, returns panel and factor panel of one (N, T, rep) market."""
+    [market] = _generate_markets(params, N, T, base_seed, (rep,))
+    return market
 
 
 def _market_key(cell: ExperimentCell) -> tuple:
-    params = cell.calibration or default_calibration()
-    return params.fingerprint(), cell.N, cell.T
+    return _calibration(cell).fingerprint(), cell.N, cell.T
 
 
 class _Market:
@@ -456,11 +509,12 @@ class _Market:
     estimator settings.
     """
 
-    def __init__(self, cell: ExperimentCell, base_seed: int, rep: int):
+    def __init__(self, cell: ExperimentCell, base_seed: int, rep: int, simulated=None):
+        """simulated: this market's (instance, panel, fpanel) if already drawn."""
         self.key = _market_key(cell) + (int(base_seed), rep)
-        params = cell.calibration or default_calibration()
-        self.instance, self.panel, self.fpanel = _generate_market(
-            params, cell.N, cell.T, base_seed, rep)
+        if simulated is None:
+            simulated = _generate_market(_calibration(cell), cell.N, cell.T, base_seed, rep)
+        self.instance, self.panel, self.fpanel = simulated
         self._estimates = {}
 
     def estimate(self, cell: ExperimentCell, name: str) -> tuple:
@@ -655,12 +709,34 @@ def default_workers() -> int:
     return min(8, cpus)
 
 
+# bytes a task may hold in each kind of per-replication array: every
+# replication of a block keeps its Sigma_u and Sigma_true (16 N^2 bytes)
+# until its turn, and its factor chain (under 48 (VAR_BURN_IN + T) bytes)
+_BLOCK_BUDGET = 1 << 20
+
+
+def _block_size(N: int, T: int) -> int:
+    """Replications per task for markets of N assets and T periods."""
+    return max(1, _BLOCK_BUDGET // max(16 * N * N, 48 * (VAR_BURN_IN + T)))
+
+
 def _run_task(grid: tuple, markets: tuple, base_seed: int, task: tuple) -> list:
-    """Run every cell of one market for one replication on one simulation of it."""
-    rep, market_index = task
+    """Run every cell of one market for a block of replications.
+
+    The block's markets are drawn together; each replication then runs
+    its cells before the next one's errors and panels are drawn.
+    """
+    market_index, reps = task
     cells = markets[market_index]
-    market = _Market(grid[cells[0]], base_seed, rep)
-    return [(ci, rep, run_replication(grid[ci], base_seed, rep, market)) for ci in cells]
+    lead = grid[cells[0]]
+    simulated = _generate_markets(_calibration(lead), lead.N, lead.T, base_seed, reps)
+    out = []
+    for rep, data in zip(reps, simulated):
+        market = _Market(lead, base_seed, rep, data)
+        out.extend((ci, rep, run_replication(grid[ci], base_seed, rep, market)) for ci in cells)
+        # free this market and its estimates before the next one is drawn
+        del market, data
+    return out
 
 
 def run_experiment(grid, replications: int, workers: int | None = None,
@@ -671,8 +747,9 @@ def run_experiment(grid, replications: int, workers: int | None = None,
     not depend on the worker count: every replication derives its own
     generators, and aggregation follows grid order, then replication
     order.  Cells sharing (calibration, N, T) form one market, in order
-    of first appearance in the grid; a task is one (replication, market)
-    pair and simulates that market once for all of its cells.
+    of first appearance in the grid; a task is one market and a block of
+    consecutive replications of it, and simulates each of them once for
+    all of the market's cells.  Each finished task logs one INFO line.
     """
     grid = tuple(grid)
     if not grid:
@@ -688,14 +765,29 @@ def run_experiment(grid, replications: int, workers: int | None = None,
     for ci, cell in enumerate(grid):
         by_key.setdefault(_market_key(cell), []).append(ci)
     markets = tuple(tuple(cells) for cells in by_key.values())
-    tasks = [(rep, mi) for rep in range(replications) for mi in range(len(markets))]
+    tasks = []
+    for mi, cells in enumerate(markets):
+        size = _block_size(grid[cells[0]].N, grid[cells[0]].T)
+        tasks.extend((mi, range(start, min(start + size, replications)))
+                     for start in range(0, replications, size))
+    # replication-major, so a pool's chunks mix the markets
+    tasks.sort(key=lambda task: task[1].start)
+
+    def logged(batches):
+        for done, ((mi, reps), batch) in enumerate(zip(tasks, batches), start=1):
+            lead = grid[markets[mi][0]]
+            log.info("market %d/%d (N=%d, T=%d): replications %d-%d finished; %d/%d tasks done",
+                     mi + 1, len(markets), lead.N, lead.T, reps.start, reps.stop - 1,
+                     done, len(tasks))
+            yield batch
+
+    fn = partial(_run_task, grid, markets, base_seed)
     if workers == 1 or len(tasks) == 1:
-        results = [_run_task(grid, markets, base_seed, t) for t in tasks]
+        results = list(logged(map(fn, tasks)))
     else:
-        fn = partial(_run_task, grid, markets, base_seed)
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, tasks, chunksize=chunk))
+            results = list(logged(pool.map(fn, tasks, chunksize=chunk)))
 
     by_cell: dict = {ci: {} for ci in range(len(grid))}
     for batch in results:

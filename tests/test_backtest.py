@@ -57,6 +57,13 @@ def test_backtest_config_validation():
         pr.BacktestConfig(estimation_window=60, L=60)
 
 
+def test_backtest_config_rejects_nan_exposure():
+    # a NaN budget used to pass and then skip every min-variance window
+    for exposures in ((float("nan"),), (1.0, float("nan")), (float("-inf"),)):
+        with pytest.raises(pr.DataError, match="c=(nan|-inf)"):
+            pr.BacktestConfig(exposures=exposures)
+
+
 def test_window_arithmetic_and_dates(small_study):
     returns, _, report = small_study
     # (128 - 60) // 21 = 3 rebalances; the last 5 rows stay unused

@@ -1,6 +1,9 @@
 """End-to-end runs of the command line against the library."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -192,3 +195,47 @@ def test_report_rejects_malformed_cells(tmp_path, capsys):
     bad.write_text("# nothing\n")
     assert main(["report", "--cells", str(bad)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_simulate_non_finite_exposure_is_data_error(tmp_path, capsys, c):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"Ns = 5\nTs = 20\ncs = 1, {c}\nreplications = 1\n")
+    assert main(["--output-dir", str(tmp_path), "--threads", "1",
+                 "simulate", "--config", str(cfg)]) == 2
+    assert f"c={c}" in capsys.readouterr().err
+    assert not (tmp_path / "experiment_cells.csv").exists()
+
+
+def test_empirical_nan_exposure_is_data_error(panel_files, tmp_path, capsys):
+    _, _, rpath, fpath = panel_files
+    code = main(["--output-dir", str(tmp_path), "empirical",
+                 "--returns", rpath, "--factors", fpath, "--estimators", "sample",
+                 "--exposures", "1,nan", "--estimation-window", "60", "--L", "3"])
+    assert code == 2
+    assert "c=nan" in capsys.readouterr().err
+
+
+def test_verbose_simulate_logs_progress_to_stderr_only(tmp_path):
+    # a fresh interpreter, so --verbose configures logging as in a real run
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(SIM_CONFIG)
+    src = os.path.dirname(os.path.dirname(pr.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = {}
+    for flags in ((), ("--verbose",)):
+        out = tmp_path / ("v" if flags else "q")
+        runs[flags] = subprocess.run(
+            [sys.executable, "-m", "portrisk.cli", *flags, "--output-dir", str(out),
+             "--threads", "1", "simulate", "--config", str(cfg)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert runs[flags].returncode == 0, runs[flags].stderr
+    quiet, verbose = runs[()], runs[("--verbose",)]
+    progress = [line for line in verbose.stderr.splitlines()
+                if line.startswith("INFO portrisk.simulation: market 1/1")]
+    assert progress and progress[-1].endswith(f"{len(progress)}/{len(progress)} tasks done")
+    assert "INFO" not in quiet.stderr
+    assert verbose.stdout.replace(str(tmp_path / "v"), "") == \
+        quiet.stdout.replace(str(tmp_path / "q"), "")
+    for name in ("experiment_cells.csv", "experiment_figures.csv"):
+        assert (tmp_path / "v" / name).read_bytes() == (tmp_path / "q" / name).read_bytes()

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import portrisk as pr
 import portrisk.portfolios as pf
@@ -268,6 +268,9 @@ def _factor_matrix(N, K, seed):
 @settings(max_examples=200, deadline=None)
 @given(N=st.integers(2, 40), K=st.integers(1, 3),
        c=st.sampled_from([1.0, 1.2, 1.6, 2.0]), seed=st.integers(0, 2**32 - 1))
+# the active-set finish certifies a wrong support on this problem if the
+# KKT gradient tolerance of _kkt_solve is loosened from 1e-8 to 1e-3
+@example(N=13, K=2, c=1.2, seed=1026255426)
 def test_min_variance_matches_apg_oracle(N, K, c, seed):
     Sigma = _factor_matrix(N, K, seed)
     est = _estimate(Sigma)

@@ -1,7 +1,9 @@
 """Calibration tables, market generators, and the replication protocol."""
 
 import dataclasses
+import logging
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -12,8 +14,10 @@ from portrisk.simulation import (
     default_workers,
     stationary_mean,
     _draw_error_sds,
+    _block_size,
     _error_cov_detail,
     _generate_market,
+    _generate_markets,
     _hard_threshold_corr,
     _is_pd,
     _Market,
@@ -58,6 +62,29 @@ def test_fingerprint_distinguishes_calibrations():
     assert a.fingerprint() == pr.default_calibration().fingerprint()
     assert a.fingerprint() != b.fingerprint()
     assert len(a.fingerprint()) == 16
+
+
+def test_fingerprint_survives_pickling_and_replace():
+    a = pr.default_calibration()
+    assert pickle.loads(pickle.dumps(a)).fingerprint() == a.fingerprint()
+    b = dataclasses.replace(a, corr_sd=0.3)
+    assert b.fingerprint() != a.fingerprint()
+    assert dataclasses.replace(b, corr_sd=0.2).fingerprint() == a.fingerprint()
+
+
+def test_market_keys_do_not_rebuild_the_default_calibration(monkeypatch):
+    # the default is built once; every cell that names no calibration
+    # shares it
+    cell = pr.ExperimentCell(N=5, T=20, c=1.0, portfolios_per_rep=2, estimators=("sample",))
+    pr.run_replication(cell, 3, 0)
+
+    def no_rebuild():
+        raise AssertionError("default_calibration() called")
+
+    monkeypatch.setattr(pr.simulation, "default_calibration", no_rebuild)
+    market = _Market(cell, 3, 0)
+    pr.run_replication(cell, 3, 0, market)
+    pr.run_experiment([cell], 2, workers=1, base_seed=3)
 
 
 def test_calibration_validation():
@@ -220,6 +247,18 @@ def test_var1_factors_shape_and_degenerate_limit():
         pr.generate_var1_factors(p, 0, pr.derive_rng(177, "bad"))
 
 
+@pytest.mark.parametrize("R", [1, 2, 7])
+@pytest.mark.parametrize("T", [1, 5, 300])
+def test_batched_var1_factors_equal_per_generator_calls(R, T):
+    p = pr.default_calibration()
+    batched = pr.generate_var1_factors(p, T, [pr.derive_rng(185, "chain", r) for r in range(R)])
+    assert batched.shape == (R, T, 3)
+    for r in range(R):
+        alone = pr.generate_var1_factors(p, T, pr.derive_rng(185, "chain", r))
+        assert alone.shape == (T, 3)
+        assert batched[r].tobytes() == alone.tobytes()
+
+
 def test_var1_factors_long_run_moments():
     p = pr.default_calibration()
     T = 100_000
@@ -274,6 +313,18 @@ def test_experiment_cell_validation():
         pr.ExperimentCell(N=10, T=50, c=1.0, tau=1.0)
     with pytest.raises(pr.DataError):
         pr.ExperimentCell(N=10, T=50, c=1.0, portfolios_per_rep=0)
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+def test_experiment_cell_rejects_non_finite_exposure(c, monkeypatch):
+    def no_market(*args):
+        raise AssertionError("a market was simulated")
+
+    monkeypatch.setattr(pr.simulation, "_generate_markets", no_market)
+    with pytest.raises(pr.DataError, match=f"c={c}"):
+        pr.ExperimentCell(N=10, T=50, c=c)
+    with pytest.raises(pr.DataError, match=f"c={c}"):
+        pr.parse_grid_config(f"Ns = 10\nTs = 50\ncs = 1.0, {c}\n")
 
 
 def test_experiment_cell_rejects_repeated_estimator():
@@ -382,7 +433,7 @@ def test_cell_in_market_group_equals_cell_alone():
             pr.ExperimentCell(c=1.7, estimators=("sample", "poet"), L=3, **base))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        grouped = _run_task(grid, ((0, 1, 2),), 23, (4, 0))
+        grouped = _run_task(grid, ((0, 1, 2),), 23, (0, range(4, 5)))
         assert [ci for ci, _, _ in grouped] == [0, 1, 2]
         for ci, rep, rec in grouped:
             alone = pr.run_replication(grid[ci], 23, rep)
@@ -392,6 +443,37 @@ def test_cell_in_market_group_equals_cell_alone():
                 for field, arr in fields.items():
                     assert np.array_equal(arr, alone.per_estimator[name][field],
                                           equal_nan=True), (ci, name, field)
+
+
+def test_market_block_equals_single_replication_markets():
+    params = pr.default_calibration()
+    block = list(_generate_markets(params, 11, 30, 29, range(2, 7)))
+    assert len(block) == 5
+    for rep, (instance, panel, fpanel) in zip(range(2, 7), block):
+        want = _generate_market(params, 11, 30, 29, rep)
+        for name, arr in instance.__dict__.items():
+            assert arr.tobytes() == getattr(want[0], name).tobytes(), (rep, name)
+        assert panel.values.tobytes() == want[1].values.tobytes()
+        assert fpanel.values.tobytes() == want[2].values.tobytes()
+        assert (panel.dates, panel.assets) == (want[1].dates, want[1].assets)
+
+
+def test_block_task_equals_replications_run_alone():
+    grid = (pr.ExperimentCell(N=9, T=30, c=1.0, portfolios_per_rep=4, poet_K=2),
+            pr.ExperimentCell(N=9, T=30, c=1.4, portfolios_per_rep=4,
+                              estimators=("factor",)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = _run_task(grid, ((0, 1),), 37, (0, range(3, 6)))
+        assert [(ci, rep) for ci, rep, _ in got] == [(ci, rep) for rep in range(3, 6)
+                                                     for ci in (0, 1)]
+        for ci, rep, rec in got:
+            alone = pr.run_replication(grid[ci], 37, rep)
+            assert rec.true_variance.tobytes() == alone.true_variance.tobytes()
+            for name, fields in rec.per_estimator.items():
+                for field, arr in fields.items():
+                    assert arr.tobytes() == alone.per_estimator[name][field].tobytes(), \
+                        (ci, rep, name, field)
 
 
 def test_run_replication_rejects_another_market():
@@ -443,6 +525,54 @@ def test_run_experiment_worker_count_invariance():
     two = pr.run_experiment(grid, 6, workers=2, base_seed=11)
     assert one.cells == two.cells
     assert one.replications == 6 and one.base_seed == 11
+
+
+def test_block_size_follows_the_memory_budget():
+    # covariances (16 N^2 bytes) or the factor chain (48 (500 + T) bytes),
+    # whichever is larger, per replication of a 1 MiB block
+    assert [_block_size(N, 300) for N in (1, 20, 100, 181, 182, 600)] == [27, 27, 6, 2, 1, 1]
+    assert _block_size(1, 100_000) == 1
+
+
+def test_run_experiment_does_not_depend_on_block_size(monkeypatch):
+    # two markets, seven replications: blocks of one, of all seven, of
+    # three and two serially, and those again in two workers
+    grid = [pr.ExperimentCell(N=6, T=24, c=1.0, portfolios_per_rep=4,
+                              estimators=("sample", "factor")),
+            pr.ExperimentCell(N=7, T=40, c=1.3, portfolios_per_rep=4,
+                              estimators=("poet",), poet_K=2),
+            pr.ExperimentCell(N=6, T=24, c=1.5, portfolios_per_rep=4,
+                              estimators=("sample",))]
+
+    def run(budget, workers):
+        monkeypatch.setattr(pr.simulation, "_BLOCK_BUDGET", budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return pr.run_experiment(grid, 7, workers=workers, base_seed=41).cells
+
+    default = run(pr.simulation._BLOCK_BUDGET, 1)
+    assert min(_block_size(6, 24), _block_size(7, 40)) >= 7
+    assert run(0, 1) == default
+    assert run(75456, 1) == default
+    assert (_block_size(6, 24), _block_size(7, 40)) == (3, 2)
+    assert run(75456, 2) == default
+
+
+def test_run_experiment_logs_each_finished_task(monkeypatch, caplog):
+    monkeypatch.setattr(pr.simulation, "_BLOCK_BUDGET", 75456)
+    grid = [pr.ExperimentCell(N=6, T=24, c=1.0, portfolios_per_rep=3, estimators=("sample",)),
+            pr.ExperimentCell(N=6, T=24, c=2.0, portfolios_per_rep=3, estimators=("sample",)),
+            pr.ExperimentCell(N=5, T=40, c=1.0, portfolios_per_rep=3, estimators=("sample",))]
+    with caplog.at_level(logging.INFO, logger="portrisk.simulation"):
+        pr.run_experiment(grid, 3, workers=1, base_seed=2)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "portrisk.simulation" and r.levelno == logging.INFO]
+    # blocks of three replications (N=6) and two (N=5), replication-major
+    assert lines == [
+        "market 1/2 (N=6, T=24): replications 0-2 finished; 1/3 tasks done",
+        "market 2/2 (N=5, T=40): replications 0-1 finished; 2/3 tasks done",
+        "market 2/2 (N=5, T=40): replications 2-2 finished; 3/3 tasks done",
+    ]
 
 
 def test_run_experiment_groups_cells_by_market():
