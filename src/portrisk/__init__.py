@@ -11,6 +11,7 @@ when the crude worst-case bound is too pessimistic to be useful.
 from ._version import __version__
 from .assessment import (
     CrudeBound,
+    EstimatorSpec,
     HclubResult,
     LongRunVariance,
     autocov_factor,
@@ -57,7 +58,6 @@ from .panels import (
     load_returns_csv,
 )
 from .portfolios import (
-    ExposureSpec,
     Portfolio,
     SolverOptions,
     equal_weight,
@@ -100,12 +100,12 @@ __all__ = [
     "factor_covariance", "pca_factor_fit", "poet_covariance",
     "select_num_factors", "portfolio_variance", "ensure_positive_definite",
     # assessment
-    "LongRunVariance", "HclubResult", "CrudeBound",
+    "EstimatorSpec", "LongRunVariance", "HclubResult", "CrudeBound",
     "normal_upper_quantile", "autocov_sample", "autocov_factor",
     "autocov_poet", "long_run_variances", "hclub", "hclub_z",
     "crude_bound", "re_ratios",
     # portfolios
-    "Portfolio", "ExposureSpec", "SolverOptions",
+    "Portfolio", "SolverOptions",
     "sample_random_portfolio", "sample_random_weights", "equal_weight",
     "gross_exposure", "min_variance",
     # simulation

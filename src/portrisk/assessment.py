@@ -13,21 +13,38 @@ from PCA factors) and the centering constant is the matching estimate of
 its variance.  The high-confidence upper bound on the variance
 estimation error is then U(tau) = z_{tau/2} * sqrt(sigma2 / T), and the
 risk-scale bound follows by the delta method as U(tau) / sqrt(4 w'Sw).
+
+EstimatorSpec is the estimator -> fit -> series chain that the simulation
+engine, the rolling backtest and the command line share.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
+# the spec calls the estimators through their module, so that a wrapper
+# installed on portrisk.estimators (perfbench's tracer) sees every call
+from . import estimators
 from .errors import DataError
-from .estimators import CovarianceEstimate, FactorModelFit
-from .panels import ReturnsPanel
+from .estimators import (
+    ESTIMATOR_NAMES,
+    CovarianceEstimate,
+    FactorModelFit,
+    ThresholdRule,
+)
+from .panels import FactorPanel, ReturnsPanel
 
 __all__ = [
+    "EstimatorSpec",
+    "FittedEstimator",
+    "estimator_specs",
     "LongRunVariance",
     "HclubResult",
     "CrudeBound",
@@ -44,6 +61,8 @@ __all__ = [
     "re_ratios",
     "DEFAULT_LAGS",
 ]
+
+log = logging.getLogger(__name__)
 
 DEFAULT_LAGS = 5
 
@@ -180,28 +199,24 @@ def total_return_series(panel: ReturnsPanel, W, demean: bool = True):
 def systematic_return_series(fit: FactorModelFit, W):
     """Series (T x P) and centers (P) of the systematic returns w_j'Bf_t.
 
-    The center is w_j'B cov(f) B'w_j for observed factors and w_j'BB'w_j
-    for PCA factors, whose covariance is the identity.
+    The center is w_j'B cov(f) B'w_j, which is w_j'BB'w_j for PCA factors:
+    their covariance is the identity (multiplying by it is exact).
     """
     rows = np.ascontiguousarray(np.asarray(W, dtype=float).T)
     b = _per_row(fit.loadings.T, rows)
     series = _per_row(fit.factors, b)
-    if fit.source == "pca":
-        return series.T, _row_dots(b, b)
     return series.T, _row_dots(np.matmul(b[:, None, :], fit.factor_cov)[:, 0, :], b)
 
 
-def _first_column(lrvs, L: int) -> LongRunVariance:
-    gammas, sigma2, clamped = lrvs
-    return LongRunVariance(gammas=tuple(float(g) for g in gammas[:, 0]), L=L,
-                           sigma2=float(sigma2[0]), clamped=bool(clamped[0]))
-
-
-def _weight_column(w, N: int) -> np.ndarray:
+def _autocov(series, N: int, w, L: int) -> LongRunVariance:
+    """Long-run variance of one portfolio w of N assets; series(W) gives
+    the (series, centers) of the portfolios in the columns of W."""
     weights = np.asarray(getattr(w, "weights", w), dtype=float)
     if weights.shape != (N,):
         raise DataError(f"weight vector has shape {weights.shape}, expected ({N},)")
-    return weights[:, None]
+    gammas, sigma2, clamped = long_run_variances(*series(weights[:, None]), L)
+    return LongRunVariance(gammas=tuple(float(g) for g in gammas[:, 0]), L=L,
+                           sigma2=float(sigma2[0]), clamped=bool(clamped[0]))
 
 
 def autocov_sample(
@@ -213,8 +228,7 @@ def autocov_sample(
     centering constant is w'Sw with S built from the same rows, so the
     lag-0 term is exactly the sample variance of p_t^2.
     """
-    W = _weight_column(w, panel.N)
-    return _first_column(long_run_variances(*total_return_series(panel, W, demean), L), L)
+    return _autocov(partial(total_return_series, panel, demean=demean), panel.N, w, L)
 
 
 def autocov_factor(fit: FactorModelFit, w, L: int = DEFAULT_LAGS) -> LongRunVariance:
@@ -224,8 +238,7 @@ def autocov_factor(fit: FactorModelFit, w, L: int = DEFAULT_LAGS) -> LongRunVari
     """
     if fit.source != "observed":
         raise DataError("autocov_factor needs an observed-factor fit")
-    W = _weight_column(w, fit.N)
-    return _first_column(long_run_variances(*systematic_return_series(fit, W), L), L)
+    return _autocov(partial(systematic_return_series, fit), fit.N, w, L)
 
 
 def autocov_poet(fit: FactorModelFit, w, L: int = DEFAULT_LAGS) -> LongRunVariance:
@@ -236,8 +249,107 @@ def autocov_poet(fit: FactorModelFit, w, L: int = DEFAULT_LAGS) -> LongRunVarian
     """
     if fit.source != "pca":
         raise DataError("autocov_poet needs a PCA fit")
-    W = _weight_column(w, fit.N)
-    return _first_column(long_run_variances(*systematic_return_series(fit, W), L), L)
+    return _autocov(partial(systematic_return_series, fit), fit.N, w, L)
+
+
+@dataclass(frozen=True, eq=False)  # compared by identity: it holds arrays
+class FittedEstimator:
+    """An estimate with the factor fit and the series its bound needs.
+
+    fit is the factor model behind the estimate (None for sample).
+    series(W) gives the (series, centers) of the portfolios in the columns
+    of W that long_run_variances takes: total returns for sample,
+    systematic returns w'Bf_t for factor and poet.
+    """
+
+    estimate: CovarianceEstimate
+    fit: FactorModelFit | None
+    series: Callable
+
+    def autocov(self, w, L: int = DEFAULT_LAGS) -> LongRunVariance:
+        """Long-run variance of one portfolio (or weight vector) w."""
+        return _autocov(self.series, self.estimate.N, w, L)
+
+
+_DEFAULT_RULES = {"factor": "hard", "poet": "soft"}
+
+
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """One covariance estimator and its settings, validated and hashable.
+
+    name is sample, factor or poet.  rule and C default to hard and 0.1
+    times the number of observed factors for factor, and to soft and 0.5
+    for poet.  K is the POET factor count; K=None selects it on each panel
+    by the information criterion, over 1..k_max.  demean applies to sample
+    and poet (the factor fit always demeans), and ensure_pd re-thresholds a
+    factor or poet estimate until it is positive definite.  Settings the
+    estimator does not use are ignored; the others raise DataError here,
+    before any data is seen, when they are invalid.
+    """
+
+    name: str
+    rule: str | None = None
+    C: float | None = None
+    K: int | None = 3
+    k_max: int = 8
+    demean: bool = True
+    ensure_pd: bool = False
+
+    def __post_init__(self):
+        if self.name not in ESTIMATOR_NAMES:
+            raise DataError(f"unknown estimator name {self.name!r}; valid: {ESTIMATOR_NAMES}")
+        if self.name == "sample":
+            return
+        self._rule()  # raises DataError for an unknown rule
+        if self.C is not None and not self.C >= 0:
+            raise DataError(f"{self.name} threshold constant must be nonnegative, got C={self.C}")
+        if self.name == "poet" and self.K is not None and not self.K >= 1:
+            raise DataError(f"poet factor count must be at least 1, got K={self.K}")
+        if self.name == "poet" and self.K is None and not self.k_max >= 1:
+            raise DataError(f"poet k_max must be at least 1, got k_max={self.k_max}")
+
+    def _rule(self) -> ThresholdRule:
+        return ThresholdRule(self.rule or _DEFAULT_RULES[self.name])
+
+    def fit(self, returns: ReturnsPanel, factors: FactorPanel | None = None) -> FittedEstimator:
+        """Build the estimate on returns; factor also needs the observed factors."""
+        if self.name == "sample":
+            est = estimators.sample_covariance(returns, self.demean)
+            return FittedEstimator(est, None,
+                                   partial(total_return_series, returns, demean=self.demean))
+        if self.name == "factor":
+            if factors is None:
+                raise DataError("the factor estimator needs an observed-factor panel")
+            fit = estimators.ols_factor_fit(returns, factors)
+            C = 0.1 * factors.K if self.C is None else self.C
+            est = estimators.factor_covariance(fit, self._rule(), C)
+        else:
+            K = self.K
+            if K is None:
+                K = estimators.select_num_factors(
+                    returns, min(self.k_max, min(returns.N, returns.T) - 1), demean=self.demean)
+                log.info("information criterion selected K=%d", K)
+            fit = estimators.pca_factor_fit(returns, K, demean=self.demean)
+            C = 0.5 if self.C is None else self.C
+            est = estimators.poet_covariance(returns, K, self._rule(), C,
+                                             demean=self.demean, fit=fit)
+        if self.ensure_pd:
+            # re-thresholding only touches the sparse remainder, so the fit
+            # stays consistent with the estimate
+            est = estimators.ensure_positive_definite(est)
+        return FittedEstimator(est, fit, partial(systematic_return_series, fit))
+
+
+def estimator_specs(names, settings: dict, **shared) -> tuple:
+    """One EstimatorSpec per name, in order, each built with settings[name]
+    (if any) and shared; an empty or repeating list raises DataError."""
+    if not names:
+        raise DataError("need at least one estimator")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise DataError(f"estimators {names} name an estimator twice ({repeated[0]!r})")
+    return tuple(EstimatorSpec(name, **settings.get(name, {}), **shared) for name in names)
 
 
 @dataclass(frozen=True)

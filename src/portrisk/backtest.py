@@ -10,6 +10,8 @@ so subtracting a noisy mean costs more than the bias it removes.
 
 Windows advance by the holding length, so holding blocks tile the sample
 back to back and nothing after the first estimation window is discarded.
+Each estimator is the EstimatorSpec the config builds for it, with the
+positive-definiteness repair on for the factor and POET estimates.
 """
 
 from __future__ import annotations
@@ -21,19 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assessment import autocov_factor, autocov_poet, autocov_sample, hclub
+# autocov_* and ensure_positive_definite run inside EstimatorSpec now; they
+# stay bound in this module for code that wraps the module's names to
+# profile it
+from .assessment import autocov_factor, autocov_poet, autocov_sample, estimator_specs, hclub
 from .errors import DataError, NumericalError, PortriskError
-from .estimators import (
-    ThresholdRule,
-    ensure_positive_definite,
-    factor_covariance,
-    ols_factor_fit,
-    pca_factor_fit,
-    poet_covariance,
-    portfolio_variance,
-    sample_covariance,
-    select_num_factors,
-)
+from .estimators import ESTIMATOR_NAMES, ensure_positive_definite, portfolio_variance
 from .panels import FactorPanel, ReturnsPanel, align_panels
 from .portfolios import equal_weight, min_variance
 
@@ -67,13 +62,14 @@ class BacktestConfig:
 
     poet_K=None re-selects the factor count per window by the information
     criterion with the given k_max; a fixed integer pins it.  factor_C=None
-    uses 0.1 times the number of observed factors.
+    uses 0.1 times the number of observed factors.  Construction builds
+    each estimator's EstimatorSpec, so invalid settings fail at once.
     """
 
     estimation_window: int = 252
     holding_window: int = 21
     exposures: tuple = (1.0, 1.6)
-    estimators: tuple = ("sample", "factor", "poet")
+    estimators: tuple = ESTIMATOR_NAMES
     L: int = 5
     tau: float = 0.01
     paper_z: bool = True
@@ -90,11 +86,6 @@ class BacktestConfig:
             raise DataError("estimation window must cover at least 2 periods")
         if self.holding_window < 1:
             raise DataError("holding window must cover at least 1 period")
-        if not self.estimators:
-            raise DataError("need at least one estimator")
-        bad = [e for e in self.estimators if e not in ("sample", "factor", "poet")]
-        if bad:
-            raise DataError(f"unknown estimator name(s) {bad}")
         if not 0 < self.tau < 1:
             raise DataError(f"tau must lie in (0, 1), got {self.tau}")
         for c in self.exposures:
@@ -108,6 +99,10 @@ class BacktestConfig:
             )
         if self.L < 0 or self.L >= self.estimation_window:
             raise DataError("lag truncation must satisfy 0 <= L < estimation window")
+        object.__setattr__(self, "_specs", estimator_specs(self.estimators, {
+            "factor": dict(rule=self.factor_rule, C=self.factor_C),
+            "poet": dict(rule=self.poet_rule, C=self.poet_C, K=self.poet_K,
+                         k_max=self.poet_k_max)}, ensure_pd=True))
 
 
 @dataclass(frozen=True)
@@ -175,38 +170,15 @@ class BacktestReport:
         raise KeyError(f"no aggregate for ({strategy}, {estimator})")
 
 
-def _window_estimate(name, window, factor_window, config):
-    """Estimator plus the fit needed by its autocovariance op (or None)."""
-    if name == "sample":
-        return sample_covariance(window, demean_flag=True), None
-    if name == "factor":
-        fit = ols_factor_fit(window, factor_window)
-        C = config.factor_C if config.factor_C is not None else 0.1 * factor_window.K
-        est = factor_covariance(fit, ThresholdRule(config.factor_rule), C)
-        return ensure_positive_definite(est), fit
-    K = config.poet_K
-    if K is None:
-        K = select_num_factors(window, min(config.poet_k_max, min(window.N, window.T) - 1))
-    fit = pca_factor_fit(window, K)
-    est = poet_covariance(window, K, ThresholdRule(config.poet_rule), config.poet_C, fit=fit)
-    # re-thresholding only touches the sparse remainder, so the PCA fit
-    # kept for the autocovariance op stays consistent with the estimate
-    return ensure_positive_definite(est), fit
-
-
-def _assess(record_index, hold_start, strategy, estimator_name, est, fit, pf,
+def _assess(record_index, hold_start, strategy, estimator_name, fitted, pf,
             window, hold_block, config):
+    est = fitted.estimate
     vhat = portfolio_variance(est, pf)
     if not vhat > 0:
         raise NumericalError(
             f"estimated portfolio variance {vhat:.3e} is not positive"
         )
-    if estimator_name == "sample":
-        lrv = autocov_sample(window, pf, L=config.L)
-    elif estimator_name == "factor":
-        lrv = autocov_factor(fit, pf, L=config.L)
-    else:
-        lrv = autocov_poet(fit, pf, L=config.L)
+    lrv = fitted.autocov(pf, L=config.L)
     bound = hclub(lrv, window.T, config.tau, vhat, est.kind, paper_z=config.paper_z)
 
     w = pf.weights
@@ -269,14 +241,14 @@ def run_empirical_study(
         hold_block = hold.T @ hold / hold.shape[0]
         hold_start = returns.dates[mid]
 
-        for name in config.estimators:
+        for spec in config._specs:
             try:
-                est, fit = _window_estimate(name, window, factor_window, config)
+                fitted = spec.fit(window, factor_window)
             except PortriskError as exc:
                 for strategy, _ in strategies:
-                    skipped.append(SkippedCase(r, strategy, name, str(exc)))
+                    skipped.append(SkippedCase(r, strategy, spec.name, str(exc)))
                 warnings.warn(
-                    f"window {r}: {name} estimator failed ({exc}); skipped",
+                    f"window {r}: {spec.name} estimator failed ({exc}); skipped",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -286,13 +258,13 @@ def run_empirical_study(
                     if c is None:
                         pf = equal_weight(returns.N)
                     else:
-                        pf = min_variance(est, c)
-                    records.append(_assess(r, hold_start, strategy, name, est,
-                                           fit, pf, window, hold_block, config))
+                        pf = min_variance(fitted.estimate, c)
+                    records.append(_assess(r, hold_start, strategy, spec.name, fitted,
+                                           pf, window, hold_block, config))
                 except PortriskError as exc:
-                    skipped.append(SkippedCase(r, strategy, name, str(exc)))
+                    skipped.append(SkippedCase(r, strategy, spec.name, str(exc)))
                     warnings.warn(
-                        f"window {r}: {strategy}/{name} skipped ({exc})",
+                        f"window {r}: {strategy}/{spec.name} skipped ({exc})",
                         RuntimeWarning,
                         stacklevel=2,
                     )

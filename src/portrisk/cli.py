@@ -1,9 +1,11 @@
 """Command line entry point.
 
 Subcommands mirror the library one to one and stay thin: parse flags,
-call the library, serialize results.  Exit codes: 0 success, 1 usage
-errors, 2 data errors (unreadable or ill-formed inputs), 3 numerical
-failures (singular matrices, non-convergence).
+call the library, serialize results.  estimate and hclub build one
+EstimatorSpec from their flags; empirical takes its defaults from
+BacktestConfig.  Exit codes: 0 success, 1 usage errors, 2 data errors
+(unreadable or ill-formed inputs), 3 numerical failures (singular
+matrices, non-convergence).
 """
 
 from __future__ import annotations
@@ -18,28 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .assessment import (
-    autocov_factor,
-    autocov_poet,
-    autocov_sample,
-    hclub,
-)
+from .assessment import EstimatorSpec, hclub
 from .backtest import BacktestConfig, run_empirical_study
 from .errors import DataError, NumericalError, UsageError
-from .estimators import (
-    ThresholdRule,
-    ensure_positive_definite,
-    factor_covariance,
-    ols_factor_fit,
-    pca_factor_fit,
-    poet_covariance,
-    portfolio_variance,
-    sample_covariance,
-    select_num_factors,
-)
+from .estimators import ESTIMATOR_NAMES, portfolio_variance
 from .panels import ParseConfig, load_factors_csv, load_returns_csv
 from .portfolios import Portfolio, equal_weight, sample_random_portfolio
 from .reporting import (
+    _markdown_table,
     backtest_markdown,
     backtest_records_csv,
     backtest_summary_csv,
@@ -56,8 +44,6 @@ from .serialization import (
     write_covariance_csv,
 )
 from .simulation import parse_grid_config, run_experiment
-
-log = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,8 +75,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--delimiter", default=",")
 
     def add_estimator_flags(p):
-        p.add_argument("--estimator", required=True,
-                       choices=("sample", "factor", "poet"))
+        p.add_argument("--estimator", required=True, choices=ESTIMATOR_NAMES)
         p.add_argument("--K", type=int, default=3,
                        help="latent factor count for poet (default 3)")
         p.add_argument("--auto-K", action="store_true",
@@ -141,19 +126,21 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("empirical", help="rolling backtest of the risk assessments")
     add_returns_flags(p)
-    p.add_argument("--estimators", default="sample,factor,poet",
+    study = BacktestConfig()
+    p.add_argument("--estimators", default=",".join(study.estimators),
                    help="comma list from {sample,factor,poet}")
-    p.add_argument("--estimation-window", type=int, default=252)
-    p.add_argument("--holding-window", type=int, default=21)
-    p.add_argument("--exposures", default="1,1.6", help="comma list of gross bounds")
-    p.add_argument("--tau", type=float, default=0.01)
-    p.add_argument("--L", type=int, default=5)
+    p.add_argument("--estimation-window", type=int, default=study.estimation_window)
+    p.add_argument("--holding-window", type=int, default=study.holding_window)
+    p.add_argument("--exposures", default=",".join(f"{c:g}" for c in study.exposures),
+                   help="comma list of gross bounds")
+    p.add_argument("--tau", type=float, default=study.tau)
+    p.add_argument("--L", type=int, default=study.L)
     p.add_argument("--exact-z", action="store_true",
                    help="exact normal quantile instead of the rounded 2.58")
-    p.add_argument("--poet-K", type=int, default=3)
+    p.add_argument("--poet-K", type=int, default=study.poet_K)
     p.add_argument("--auto-K", action="store_true",
                    help="re-select the POET factor count per window")
-    p.add_argument("--periods-per-year", type=float, default=252.0)
+    p.add_argument("--periods-per-year", type=float, default=study.periods_per_year)
     p.add_argument("--out-prefix", default="backtest")
 
     p = sub.add_parser("report", help="render a saved experiment table as markdown")
@@ -183,35 +170,18 @@ def _load_panels(args, need_factors: bool):
     return returns, factors
 
 
-def _estimate_and_fit(args, returns, factors):
-    """Build the requested estimator plus the fit its autocov op needs."""
-    demean = not args.no_demean
-    if args.estimator == "sample":
-        return sample_covariance(returns, demean_flag=demean), None
-    if args.estimator == "factor":
-        fit = ols_factor_fit(returns, factors)
-        C = args.C if args.C is not None else 0.1 * factors.K
-        est = factor_covariance(fit, ThresholdRule(args.rule or "hard"), C)
-        if args.ensure_pd:
-            est = ensure_positive_definite(est)
-        return est, fit
-    K = args.K
-    if args.auto_K:
-        K = select_num_factors(returns, min(args.k_max, min(returns.N, returns.T) - 1),
-                               demean=demean)
-        log.info("information criterion selected K=%d", K)
-    fit = pca_factor_fit(returns, K, demean=demean)
-    C = args.C if args.C is not None else 0.5
-    est = poet_covariance(returns, K, ThresholdRule(args.rule or "soft"), C,
-                          demean=demean, fit=fit)
-    if args.ensure_pd:
-        est = ensure_positive_definite(est)
-    return est, fit
+def _fit(args):
+    """The returns panel and the estimator its flags describe, fitted on it."""
+    spec = EstimatorSpec(args.estimator, rule=args.rule, C=args.C,
+                         K=None if args.auto_K else args.K, k_max=args.k_max,
+                         demean=not args.no_demean, ensure_pd=args.ensure_pd)
+    returns, factors = _load_panels(args, need_factors=args.estimator == "factor")
+    return returns, spec.fit(returns, factors)
 
 
 def _cmd_estimate(args) -> int:
-    returns, factors = _load_panels(args, need_factors=args.estimator == "factor")
-    est, _ = _estimate_and_fit(args, returns, factors)
+    returns, fitted = _fit(args)
+    est = fitted.estimate
     suffix = "bin" if args.binary else "csv"
     name = args.out or f"covariance_{args.estimator}.{suffix}"
     path = _outdir(args) / name
@@ -243,19 +213,14 @@ def _cmd_hclub(args) -> int:
         raise UsageError(f"--tau must lie in (0, 1), got {args.tau}")
     if args.L < 0:
         raise UsageError(f"--L must be nonnegative, got {args.L}")
-    returns, factors = _load_panels(args, need_factors=args.estimator == "factor")
-    est, fit = _estimate_and_fit(args, returns, factors)
+    returns, fitted = _fit(args)
+    est = fitted.estimate
     pf = _portfolio_for(args, returns)
     vhat = portfolio_variance(est, pf)
     if not vhat > 0:
         raise NumericalError(f"estimated variance {vhat:.3e} is not positive; "
                              "try --ensure-pd")
-    if args.estimator == "sample":
-        lrv = autocov_sample(returns, pf, L=args.L, demean=not args.no_demean)
-    elif args.estimator == "factor":
-        lrv = autocov_factor(fit, pf, L=args.L)
-    else:
-        lrv = autocov_poet(fit, pf, L=args.L)
+    lrv = fitted.autocov(pf, L=args.L)
     bound = hclub(lrv, returns.T, args.tau, vhat, est.kind, paper_z=args.paper_z)
 
     nan = float("nan")
@@ -366,6 +331,10 @@ def _cmd_report(args) -> int:
         idx = [header.index(k) for k in keep]
     except ValueError as exc:
         raise DataError(f"{args.cells}: {exc}") from None
+    for i, row in enumerate(body, start=1):
+        if len(row) < len(header):
+            raise DataError(f"{args.cells}: data row {i} has {len(row)} fields, "
+                            f"the header {len(header)}")
 
     def fmt(value):
         try:
@@ -373,10 +342,7 @@ def _cmd_report(args) -> int:
         except ValueError:
             return value
 
-    print("| " + " | ".join(keep) + " |")
-    print("|" + "|".join("---" for _ in keep) + "|")
-    for row in body:
-        print("| " + " | ".join(fmt(row[i]) for i in idx) + " |")
+    print(_markdown_table(keep, ([fmt(row[i]) for i in idx] for row in body)))
     return 0
 
 

@@ -40,9 +40,10 @@ __all__ = [
     "select_num_factors",
     "portfolio_variance",
     "ensure_positive_definite",
+    "ESTIMATOR_NAMES",
 ]
 
-_KINDS = ("sample", "factor", "poet")
+ESTIMATOR_NAMES = ("sample", "factor", "poet")
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,8 @@ class CovarianceEstimate:
     _rebuild: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DataError(f"estimator kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind not in ESTIMATOR_NAMES:
+            raise DataError(f"estimator kind must be one of {ESTIMATOR_NAMES}, got {self.kind!r}")
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DataError(f"covariance matrix must be square, got shape {m.shape}")

@@ -20,7 +20,6 @@ from .estimators import CovarianceEstimate
 
 __all__ = [
     "Portfolio",
-    "ExposureSpec",
     "SolverOptions",
     "sample_random_portfolio",
     "sample_random_weights",
@@ -55,19 +54,8 @@ class Portfolio:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
-class ExposureSpec:
-    """A target gross exposure; c < 1 is infeasible when weights sum to 1."""
-
-    c: float
-
-    def __post_init__(self):
-        if not self.c >= 1.0:
-            raise DataError(f"gross exposure must be at least 1, got {self.c}")
-
-
 def _exposure_value(c) -> float:
-    value = float(getattr(c, "c", c))
+    value = float(c)
     if not value >= 1.0:
         raise DataError(f"gross exposure must be at least 1, got {value}")
     return value

@@ -11,7 +11,8 @@ period), so simulated risks annualize to realistic equity magnitudes.
 The replication protocol generates one market per (calibration, N, T,
 replication), estimates the covariance three ways (sample; factor model
 with the simulated factors observed; POET with re-extracted latent
-factors), draws a batch of random exposure-c portfolios, and records the
+factors), each through the EstimatorSpec a cell builds from its settings,
+draws a batch of random exposure-c portfolios, and records the
 realized estimation error Delta, the crude bound xi, the high-confidence
 bound U(tau), the ratios RE1 and RE2, and the coverage indicator for
 every portfolio and estimator.  Model streams are keyed by (base_seed, N,
@@ -24,8 +25,8 @@ consecutive replications), where a market is the set of grid cells
 sharing (calibration, N, T).  A task draws the loadings and error
 covariances of its block, steps the VAR(1) factor chains of the whole
 block together, and then takes one replication at a time: it draws that
-market's errors, builds each distinct estimate once, and evaluates every
-cell of the market with the batched portfolio sampler and
+market's errors, builds each distinct estimator spec once, and
+evaluates every cell of the market with the batched portfolio sampler and
 long-run-variance kernel.  Blocks are sized so that the error and true
 covariances they hold, and their factor chains, each stay within a fixed
 memory budget; from N = 182 on a block is a single replication.
@@ -47,23 +48,16 @@ import numpy as np
 # the batched ops used here; they stay bound in this module for code that
 # wraps the module's names to profile it
 from .assessment import (
+    EstimatorSpec,
     autocov_factor,
     autocov_poet,
     autocov_sample,
+    estimator_specs,
     hclub_z,
     long_run_variances,
-    systematic_return_series,
-    total_return_series,
 )
 from .errors import DataError, NumericalError
-from .estimators import (
-    ThresholdRule,
-    factor_covariance,
-    ols_factor_fit,
-    pca_factor_fit,
-    poet_covariance,
-    sample_covariance,
-)
+from .estimators import ESTIMATOR_NAMES
 from .panels import FactorPanel, ReturnsPanel
 from .portfolios import sample_random_portfolio, sample_random_weights
 from .rng import derive_rng
@@ -93,8 +87,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 VAR_BURN_IN = 500
-
-ESTIMATOR_NAMES = ("sample", "factor", "poet")
 
 
 def _frozen_array(values, shape) -> np.ndarray:
@@ -415,7 +407,11 @@ def build_model_instance(params: CalibrationParams, N: int, rng) -> ModelInstanc
 
 @dataclass(frozen=True)
 class ExperimentCell:
-    """One grid point of the replication protocol."""
+    """One grid point of the replication protocol.
+
+    Construction builds each estimator's EstimatorSpec (factor_C=None is
+    0.1 * K), so invalid settings fail before any market is simulated.
+    """
 
     N: int
     T: int
@@ -439,17 +435,13 @@ class ExperimentCell:
             raise DataError(f"gross exposure must be a finite number at least 1, got c={self.c}")
         if not 0 <= self.L < self.T:
             raise DataError(f"lag truncation must satisfy 0 <= L < T, got L={self.L}, T={self.T}")
-        bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
-        if bad:
-            raise DataError(f"unknown estimator name(s) {bad}; valid: {ESTIMATOR_NAMES}")
-        if not self.estimators:
-            raise DataError("cell needs at least one estimator")
-        if len(set(self.estimators)) != len(self.estimators):
-            raise DataError(f"estimators {self.estimators} name an estimator twice")
         if not 0 < self.tau < 1:
             raise DataError(f"tau must lie in (0, 1), got {self.tau}")
         if self.portfolios_per_rep < 1:
             raise DataError("portfolios_per_rep must be at least 1")
+        object.__setattr__(self, "_specs", estimator_specs(self.estimators, {
+            "factor": dict(rule=self.factor_rule, C=self.factor_C),
+            "poet": dict(rule=self.poet_rule, C=self.poet_C, K=self.poet_K)}))
 
 
 @dataclass
@@ -504,9 +496,9 @@ def _market_key(cell: ExperimentCell) -> tuple:
 class _Market:
     """One simulated market and the estimates built on it.
 
-    Every cell of the market shares the simulated data; an estimate is
-    built on first request and reused by each later cell with the same
-    estimator settings.
+    Every cell of the market shares the simulated data; a spec's estimate
+    is built on first request and reused by each later cell with an equal
+    spec.
     """
 
     def __init__(self, cell: ExperimentCell, base_seed: int, rep: int, simulated=None):
@@ -517,35 +509,16 @@ class _Market:
         self.instance, self.panel, self.fpanel = simulated
         self._estimates = {}
 
-    def estimate(self, cell: ExperimentCell, name: str) -> tuple:
-        """(estimate, fit for its long-run variance or None, max |Sigma_hat - Sigma|).
+    def estimate(self, spec: EstimatorSpec) -> tuple:
+        """(fitted estimator, max |Sigma_hat - Sigma|) of spec on this market.
 
-        The factor estimator treats the simulated factors as observed and
-        hard-thresholds residual correlations at 0.1 * K * sqrt(log N / T)
-        unless the cell overrides the constant; the POET estimator
-        re-extracts poet_K factors by PCA.
+        The factor estimator treats the simulated factors as observed.
         """
-        if name == "sample":
-            key = (name,)
-        elif name == "factor":
-            C = cell.factor_C if cell.factor_C is not None else 0.1 * self.fpanel.K
-            key = (name, cell.factor_rule, C)
-        else:
-            key = (name, cell.poet_K, cell.poet_rule, cell.poet_C)
-        if key not in self._estimates:
-            fit = None
-            if name == "sample":
-                est = sample_covariance(self.panel, demean_flag=True)
-            elif name == "factor":
-                fit = ols_factor_fit(self.panel, self.fpanel)
-                est = factor_covariance(fit, ThresholdRule(cell.factor_rule), C)
-            else:
-                fit = pca_factor_fit(self.panel, cell.poet_K)
-                est = poet_covariance(self.panel, cell.poet_K,
-                                      ThresholdRule(cell.poet_rule), cell.poet_C, fit=fit)
-            max_err = float(np.max(np.abs(est.matrix - self.instance.Sigma_true)))
-            self._estimates[key] = (est, fit, max_err)
-        return self._estimates[key]
+        if spec not in self._estimates:
+            fitted = spec.fit(self.panel, self.fpanel)
+            max_err = float(np.max(np.abs(fitted.estimate.matrix - self.instance.Sigma_true)))
+            self._estimates[spec] = (fitted, max_err)
+        return self._estimates[spec]
 
 
 def _quad_forms(matrix: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -577,17 +550,12 @@ def run_replication(cell: ExperimentCell, base_seed: int, rep: int,
     z = hclub_z(cell.tau, paper_z=cell.paper_z)
 
     per_estimator = {}
-    for name in cell.estimators:
-        est, fit, max_err = market.estimate(cell, name)
-        vhat = _quad_forms(est.matrix, W)
+    for spec in cell._specs:
+        fitted, max_err = market.estimate(spec)
+        vhat = _quad_forms(fitted.estimate.matrix, W)
         delta = np.abs(vhat - true_var)
         xi = gross_sq * max_err
-
-        if name == "sample":
-            series, centers = total_return_series(market.panel, W)
-        else:
-            series, centers = systematic_return_series(fit, W)
-        _, sigma2, clamped = long_run_variances(series, centers, cell.L)
+        _, sigma2, clamped = long_run_variances(*fitted.series(W), cell.L)
 
         u_var = z * np.sqrt(sigma2 / T)
         covered = delta <= u_var
@@ -595,7 +563,7 @@ def run_replication(cell: ExperimentCell, base_seed: int, rep: int,
             re1 = np.where(u_var > 0, xi / u_var, np.nan)
         re2 = u_var / (4.0 * true_var)
 
-        per_estimator[name] = {
+        per_estimator[spec.name] = {
             "variance_hat": vhat,
             "delta": delta,
             "xi": xi,
@@ -807,9 +775,9 @@ class GridConfig:
     """Parsed experiment configuration: the cell grid plus run settings."""
 
     cells: tuple
-    replications: int
-    base_seed: int
-    periods_per_year: float
+    replications: int = 100
+    base_seed: int = 0
+    periods_per_year: float = 252.0
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -834,11 +802,15 @@ def _parse_list(raw: str, cast, key: str) -> tuple:
     return values
 
 
-_GRID_KEYS = {
-    "Ns", "Ts", "cs", "estimators", "L", "tau", "portfolios_per_rep",
-    "replications", "base_seed", "paper_z", "factor_rule", "factor_C",
-    "poet_K", "poet_C", "poet_rule", "periods_per_year",
+# parser of each optional key; a key left out takes the default of the
+# ExperimentCell or GridConfig field of the same name
+_CELL_KEYS = {
+    "estimators": partial(_parse_list, cast=str, key="estimators"), "L": int, "tau": float,
+    "portfolios_per_rep": int, "paper_z": partial(_parse_bool, key="paper_z"),
+    "factor_rule": str, "factor_C": float, "poet_K": int, "poet_C": float, "poet_rule": str,
 }
+_RUN_KEYS = {"replications": int, "base_seed": int, "periods_per_year": float}
+_GRID_KEYS = {"Ns", "Ts", "cs", *_CELL_KEYS, *_RUN_KEYS}
 
 
 def parse_grid_config(text: str) -> GridConfig:
@@ -870,41 +842,25 @@ def parse_grid_config(text: str) -> GridConfig:
         if required not in values:
             raise DataError(f"config is missing required key {required!r}")
 
-    def scalar(key, cast, default):
-        if key not in values:
-            return default
-        try:
-            return cast(values[key])
-        except ValueError:
-            raise DataError(f"config key {key}: cannot parse {values[key]!r}") from None
+    def parsed(parsers):
+        out = {}
+        for key, parse in parsers.items():
+            if key not in values:
+                continue
+            try:
+                out[key] = parse(values[key])
+            except DataError:
+                raise
+            except ValueError:
+                raise DataError(f"config key {key}: cannot parse {values[key]!r}") from None
+        return out
 
     Ns = _parse_list(values["Ns"], int, "Ns")
     Ts = _parse_list(values["Ts"], int, "Ts")
     cs = _parse_list(values["cs"], float, "cs")
-    estimators = (_parse_list(values["estimators"], str, "estimators")
-                  if "estimators" in values else ESTIMATOR_NAMES)
-    cell_kwargs = dict(
-        estimators=estimators,
-        L=scalar("L", int, 5),
-        tau=scalar("tau", float, 0.05),
-        portfolios_per_rep=scalar("portfolios_per_rep", int, 200),
-        paper_z=(_parse_bool(values["paper_z"], "paper_z")
-                 if "paper_z" in values else True),
-        factor_rule=values.get("factor_rule", "hard"),
-        poet_K=scalar("poet_K", int, 3),
-        poet_C=scalar("poet_C", float, 0.5),
-        poet_rule=values.get("poet_rule", "soft"),
-    )
-    if "factor_C" in values:
-        cell_kwargs["factor_C"] = scalar("factor_C", float, None)
-
+    cell_kwargs = parsed(_CELL_KEYS)
     cells = tuple(
         ExperimentCell(N=N, T=T, c=c, **cell_kwargs)
         for N in Ns for T in Ts for c in cs
     )
-    return GridConfig(
-        cells=cells,
-        replications=scalar("replications", int, 100),
-        base_seed=scalar("base_seed", int, 0),
-        periods_per_year=scalar("periods_per_year", float, 252.0),
-    )
+    return GridConfig(cells=cells, **parsed(_RUN_KEYS))

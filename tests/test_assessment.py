@@ -403,3 +403,99 @@ def test_re_ratios_zero_denominators():
                           estimator_kind="sample")
     with pytest.raises(pr.DataError):
         pr.re_ratios(0.1, live, 0.0)
+
+
+# ------------------------------------------------------------ estimator spec
+
+SPEC_VARIANTS = {
+    "default": {},
+    # hard thresholding leaves both the factor and the POET estimate of this
+    # wide panel indefinite, so the repair runs for both
+    "ensure_pd": {"ensure_pd": True, "rule": "hard"},
+    "auto_K": {"K": None},
+    "no_demean": {"demean": False},
+}
+
+
+def _direct_estimate(name, settings, panel, fpanel):
+    """The estimate and single-portfolio LRV, from the public functions alone."""
+    demean = settings.get("demean", True)
+    rule = pr.ThresholdRule(settings.get("rule", "hard" if name == "factor" else "soft"))
+    if name == "sample":
+        return (pr.sample_covariance(panel, demean),
+                lambda w, L: pr.autocov_sample(panel, w, L, demean=demean))
+    if name == "factor":
+        fit = pr.ols_factor_fit(panel, fpanel)
+        est = pr.factor_covariance(fit, rule, 0.1 * fpanel.K)
+        autocov = pr.autocov_factor
+    else:
+        K = 3
+        if settings.get("K", 3) is None:
+            K = pr.select_num_factors(panel, min(8, min(panel.N, panel.T) - 1), demean=demean)
+        fit = pr.pca_factor_fit(panel, K, demean=demean)
+        est = pr.poet_covariance(panel, K, rule, 0.5, demean=demean, fit=fit)
+        autocov = pr.autocov_poet
+    if settings.get("ensure_pd"):
+        est = pr.ensure_positive_definite(est)
+    return est, lambda w, L: autocov(fit, w, L)
+
+
+@pytest.mark.filterwarnings("ignore:truncated long-run variance")
+@pytest.mark.parametrize("variant", sorted(SPEC_VARIANTS))
+@pytest.mark.parametrize("name", ["sample", "factor", "poet"])
+def test_estimator_spec_equals_the_public_functions(name, variant):
+    settings = SPEC_VARIANTS[variant]
+    _, panel, fpanel = calibrated_market(60, 40, 2)
+    spec = pr.EstimatorSpec(name, **settings)
+    fitted = spec.fit(panel, fpanel)
+    est, autocov = _direct_estimate(name, settings, panel, fpanel)
+    assert fitted.estimate.kind == est.kind == name
+    assert fitted.estimate.matrix.tobytes() == est.matrix.tobytes()
+    if variant == "ensure_pd" and name != "sample":
+        assert fitted.estimate.tuning["C"] > 0.5  # the repair ran
+    if variant == "auto_K" and name == "poet":
+        assert fitted.estimate.tuning["K"] == 2  # not the fixed K=3
+
+    W = pr.sample_random_weights(60, 1.6, pr.derive_rng(3, "spec-parity"), 6)
+    W[:, 0] = 1.0 / 60
+    L = 6
+    gammas, sigma2, clamped = pr.long_run_variances(*fitted.series(W), L)
+    for j in range(W.shape[1]):
+        want = autocov(W[:, j].copy(), L)
+        one = fitted.autocov(W[:, j].copy(), L)
+        assert one == want
+        assert tuple(gammas[:, j].tolist()) == want.gammas
+        assert (sigma2[j], bool(clamped[j])) == (want.sigma2, want.clamped)
+
+
+def test_estimator_spec_rejects_invalid_settings_up_front():
+    for kwargs, message in (
+        (dict(name="ridge"), "unknown estimator"),
+        (dict(name="factor", rule="bogus"), "unknown threshold rule"),
+        (dict(name="poet", rule="bogus"), "unknown threshold rule"),
+        (dict(name="factor", C=-1.0), "C=-1.0"),
+        (dict(name="poet", C=float("nan")), "C=nan"),
+        (dict(name="poet", K=0), "K=0"),
+        (dict(name="poet", K=None, k_max=0), "k_max=0"),
+    ):
+        with pytest.raises(pr.DataError, match=message):
+            pr.EstimatorSpec(**kwargs)
+    # settings an estimator does not use are not checked
+    pr.EstimatorSpec("sample", rule="bogus", C=-1.0, K=0)
+    pr.EstimatorSpec("factor", K=0)
+    with pytest.raises(pr.DataError, match="observed-factor panel"):
+        pr.EstimatorSpec("factor").fit(calibrated_market(6, 30, 1)[1])
+
+
+def test_estimator_specs_are_hashable_cache_keys():
+    a = pr.EstimatorSpec("poet", rule="soft", C=0.5, K=3)
+    assert a == pr.EstimatorSpec("poet", rule="soft", C=0.5, K=3)
+    assert {a: 1}[pr.EstimatorSpec("poet", rule="soft", C=0.5, K=3)] == 1
+    assert a != pr.EstimatorSpec("poet", rule="soft", C=0.5, K=2)
+
+
+def test_public_names_resolve():
+    for name in pr.__all__:
+        assert getattr(pr, name) is not None, name
+    assert not hasattr(pr, "ExposureSpec")
+    assert not hasattr(pr.portfolios, "ExposureSpec")

@@ -57,6 +57,31 @@ def test_backtest_config_validation():
         pr.BacktestConfig(estimation_window=60, L=60)
 
 
+def test_backtest_config_rejects_repeated_estimator():
+    # a repeated estimator used to print every row twice with doubled counts
+    with pytest.raises(pr.DataError, match="twice.*'sample'"):
+        pr.BacktestConfig(estimators=("sample", "factor", "sample"))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(poet_K=0), "K=0"), (dict(factor_rule="bogus"), "'bogus'"),
+    (dict(poet_rule="bogus"), "'bogus'"), (dict(poet_C=-1.0), "C=-1.0"),
+    (dict(factor_C=-0.5), "C=-0.5"), (dict(poet_K=None, poet_k_max=0), "k_max=0"),
+])
+def test_invalid_estimator_settings_fail_before_any_window(kwargs, message, monkeypatch):
+    # these used to skip every window with one warning each
+    def no_window(*args, **kw):
+        raise AssertionError("a window was estimated")
+
+    monkeypatch.setattr(pr.EstimatorSpec, "fit", no_window)
+    with pytest.raises(pr.DataError, match=message):
+        pr.BacktestConfig(**kwargs)
+    # the settings of an estimator the study does not run are not used
+    unused = "poet" if "poet" in next(iter(kwargs)) else "factor"
+    kept = tuple(e for e in pr.BacktestConfig().estimators if e != unused)
+    assert pr.BacktestConfig(estimators=kept, **kwargs).estimators == kept
+
+
 def test_backtest_config_rejects_nan_exposure():
     # a NaN budget used to pass and then skip every min-variance window
     for exposures in ((float("nan"),), (1.0, float("nan")), (float("-inf"),)):

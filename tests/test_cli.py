@@ -239,3 +239,70 @@ def test_verbose_simulate_logs_progress_to_stderr_only(tmp_path):
         quiet.stdout.replace(str(tmp_path / "q"), "")
     for name in ("experiment_cells.csv", "experiment_figures.csv"):
         assert (tmp_path / "v" / name).read_bytes() == (tmp_path / "q" / name).read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--estimators", "sample,sample"), ("--poet-K", "0"),
+])
+def test_empirical_invalid_estimator_settings_exit_2_before_any_window(
+        panel_files, tmp_path, capsys, monkeypatch, flags):
+    # both used to exit 0: the first printed every row twice, the second an
+    # empty table after skipping every window
+    _, _, rpath, fpath = panel_files
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("a window was estimated")
+
+    monkeypatch.setattr(pr.EstimatorSpec, "fit", no_window)
+    code = main(["--output-dir", str(tmp_path), "empirical", "--returns", rpath,
+                 "--factors", fpath, "--estimation-window", "60", *flags])
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "backtest_records.csv").exists()
+
+
+def test_simulate_invalid_estimator_setting_exits_2_before_any_market(
+        tmp_path, capsys, monkeypatch):
+    def no_market(*args):
+        raise AssertionError("a market was simulated")
+
+    monkeypatch.setattr(pr.simulation, "_generate_markets", no_market)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("Ns = 300\nTs = 50\ncs = 1\nfactor_rule = bogus\n")
+    assert main(["--output-dir", str(tmp_path), "--threads", "1",
+                 "simulate", "--config", str(cfg)]) == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_flag_free_empirical_runs_the_default_study(panel_files, tmp_path, monkeypatch):
+    _, _, rpath, fpath = panel_files
+    seen = []
+
+    def capture(returns, factors, config):
+        seen.append(config)
+        raise pr.UsageError("stop here")
+
+    monkeypatch.setattr("portrisk.cli.run_empirical_study", capture)
+    assert main(["--output-dir", str(tmp_path), "empirical", "--returns", rpath,
+                 "--factors", fpath]) == 1
+    assert seen == [pr.BacktestConfig()]
+
+
+def test_report_rejects_a_truncated_row(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(SIM_CONFIG)
+    assert main(["--output-dir", str(tmp_path), "--threads", "1",
+                 "simulate", "--config", str(cfg)]) == 0
+    cells = (tmp_path / "experiment_cells.csv").read_text().splitlines()
+    capsys.readouterr()
+    assert main(["report", "--cells", str(tmp_path / "experiment_cells.csv")]) == 0
+    good = capsys.readouterr().out
+    assert good.splitlines()[2].startswith("| sample | 6 | 24 | 1 |")
+
+    cells[-1] = ",".join(cells[-1].split(",")[:5])
+    bad = tmp_path / "truncated.csv"
+    bad.write_text("\n".join(cells) + "\n")
+    assert main(["report", "--cells", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "data row 1 has 5 fields" in err

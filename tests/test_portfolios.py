@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 import portrisk as pr
 import portrisk.portfolios as pf
 import oracles
-from portrisk.backtest import _window_estimate
 from portrisk.simulation import generate_var1_factors
 
 
@@ -329,8 +328,8 @@ def backtest_factor_estimate():
     returns = pr.ReturnsPanel(dates, tuple(f"a{i:03d}" for i in range(300)),
                               F @ inst.B.T + U)
     factors = pr.FactorPanel(dates, ("f1", "f2", "f3"), F)
-    est, _ = _window_estimate("factor", returns, factors, pr.BacktestConfig())
-    return est
+    [spec] = [s for s in pr.BacktestConfig()._specs if s.name == "factor"]
+    return spec.fit(returns, factors).estimate
 
 
 @pytest.mark.parametrize("c", [1.0, 1.6, 2.0])

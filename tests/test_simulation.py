@@ -327,6 +327,23 @@ def test_experiment_cell_rejects_non_finite_exposure(c, monkeypatch):
         pr.parse_grid_config(f"Ns = 10\nTs = 50\ncs = 1.0, {c}\n")
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(factor_rule="bogus"), dict(poet_rule="bogus"), dict(factor_C=-1.0),
+    dict(poet_C=-1.0), dict(poet_K=0),
+])
+def test_invalid_estimator_settings_fail_before_any_market(kwargs, monkeypatch):
+    # factor_rule="bogus" used to raise only after a market was simulated
+    def no_market(*args):
+        raise AssertionError("a market was simulated")
+
+    monkeypatch.setattr(pr.simulation, "_generate_markets", no_market)
+    with pytest.raises(pr.DataError):
+        pr.ExperimentCell(N=300, T=50, c=1.0, **kwargs)
+    key, value = next(iter(kwargs.items()))
+    with pytest.raises(pr.DataError):
+        pr.parse_grid_config(f"Ns = 300\nTs = 50\ncs = 1\n{key} = {value}\n")
+
+
 def test_experiment_cell_rejects_repeated_estimator():
     with pytest.raises(pr.DataError, match="estimator twice"):
         pr.ExperimentCell(N=10, T=50, c=1.0, estimators=("sample", "sample"))
@@ -673,6 +690,12 @@ def test_parse_grid_config_defaults():
     assert cell.estimators == ("sample", "factor", "poet")
     assert cfg.replications == 100 and cfg.base_seed == 0
     assert cfg.periods_per_year == 252.0
+
+
+def test_minimal_grid_config_takes_the_dataclass_defaults():
+    cfg = pr.parse_grid_config("Ns = 5, 7\nTs = 20\ncs = 1, 1.5\n")
+    assert cfg.cells == tuple(pr.ExperimentCell(N, 20, c) for N in (5, 7) for c in (1.0, 1.5))
+    assert cfg == pr.GridConfig(cells=cfg.cells)
 
 
 def test_parse_grid_config_errors_name_the_key_and_line():
