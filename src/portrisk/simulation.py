@@ -4,9 +4,13 @@ Synthetic markets follow a three-factor model: loadings are drawn from a
 trivariate Gaussian, factors follow a stationary VAR(1), and errors are
 Gaussian with a sparse-by-construction covariance D * Sigma0 * D whose
 correlation matrix is hard-thresholded at the smallest level that makes
-it positive definite.  The shipped loading and factor parameters are
-calibrated to daily data in percent units (a value of 1.0 means 1% per
-period), so simulated risks annualize to realistic equity magnitudes.
+it positive definite.  That level is found by bisection; a midpoint is
+decided by factoring only the principal block of the rows that keep an
+off-diagonal entry there (the thresholded matrix is the identity outside
+them), or the full matrix when those rows are more than half of all rows.
+The shipped loading and factor parameters are calibrated to daily data
+in percent units (a value of 1.0 means 1% per period), so simulated
+risks annualize to realistic equity magnitudes.
 
 The replication protocol generates one market per (calibration, N, T,
 replication), estimates the covariance three ways (sample; factor model
@@ -140,6 +144,10 @@ class CalibrationParams:
             raise DataError("need 0 < sd_min <= sd_max")
         if not 0 < self.corr_cap < 1:
             raise DataError("corr_cap must lie in (0, 1)")
+        if not math.isfinite(self.corr_mean):
+            raise DataError(f"corr_mean must be finite, got {self.corr_mean}")
+        if not (math.isfinite(self.corr_sd) and self.corr_sd >= 0):
+            raise DataError(f"corr_sd must be finite and non-negative, got {self.corr_sd}")
         parts = []
         for name in ("mu_B", "Sigma_B", "mu_f", "Phi", "cov_f"):
             parts.extend(repr(float(v)) for v in getattr(self, name).ravel())
@@ -285,6 +293,24 @@ def _is_pd(matrix: np.ndarray) -> bool:
         return False
 
 
+def _surviving_block(corr: np.ndarray, magnitudes: np.ndarray, iu, level: float) -> np.ndarray:
+    """corr, or its principal block on the rows hard thresholding at level keeps.
+
+    magnitudes holds |corr| at the upper-triangle positions iu.  The
+    thresholded matrix is the identity outside the rows that keep an
+    off-diagonal entry, so it is PD exactly when their block is.  The
+    full matrix is returned when those rows are more than half of all rows.
+    """
+    kept = np.flatnonzero(magnitudes > level)
+    touched = np.zeros(corr.shape[0], dtype=bool)
+    touched[iu[0][kept]] = True
+    touched[iu[1][kept]] = True
+    rows = np.flatnonzero(touched)
+    if 2 * rows.size > corr.shape[0]:
+        return corr
+    return corr[np.ix_(rows, rows)]
+
+
 def _error_cov_detail(params: CalibrationParams, N: int, rng):
     """Error covariance plus the correlation matrix and threshold used."""
     if N < 1:
@@ -307,14 +333,18 @@ def _error_cov_detail(params: CalibrationParams, N: int, rng):
         # The matrix at lo is never PD and the one at hi always is; when no
         # |corr| lies in (lo, mid] or in (mid, hi], the matrix at mid is the
         # one at lo or at hi, so its status is known without a factorization.
-        levels = np.sort(np.abs(draws))
-        lo, hi = 0.0, float(np.max(np.abs(corr - np.eye(N))))
+        # Otherwise only the rows that keep an off-diagonal entry at mid are
+        # factored (see _surviving_block).
+        np.abs(draws, out=draws)
+        levels = np.sort(draws)
+        lo, hi = 0.0, float(levels[-1])
         while hi - lo > 1e-6:
             mid = (lo + hi) / 2.0
             n_lo, n_mid, n_hi = np.searchsorted(levels, (lo, mid, hi), side="right")
             if n_mid == n_lo:
                 lo = mid
-            elif n_hi == n_mid or _is_pd(_hard_threshold_corr(corr, mid)):
+            elif n_hi == n_mid or _is_pd(
+                    _hard_threshold_corr(_surviving_block(corr, draws, iu, mid), mid)):
                 hi = mid
             else:
                 lo = mid

@@ -255,23 +255,28 @@ def _oracle_solve(est, c):
     return w, not results or results[-1] is not None
 
 
-def _factor_matrix(N, K, seed):
-    """Factor-plus-diagonal covariance with market-like positive betas."""
+def _factor_matrix(N, K, seed, scale=1.0):
+    """Factor-plus-diagonal covariance with market-like positive betas,
+    times scale."""
     rng = np.random.default_rng(seed)
     B = rng.normal(1.0, 0.7, size=(N, K))
     A = rng.standard_normal((K, K))
     cov_f = A @ A.T / K + 0.1 * np.eye(K)
-    return B @ cov_f @ B.T + np.diag(rng.uniform(0.1, 2.0, size=N))
+    return scale * (B @ cov_f @ B.T + np.diag(rng.uniform(0.1, 2.0, size=N)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(N=st.integers(2, 40), K=st.integers(1, 3),
-       c=st.sampled_from([1.0, 1.2, 1.6, 2.0]), seed=st.integers(0, 2**32 - 1))
+       c=st.sampled_from([1.0, 1.2, 1.6, 2.0]), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e-2, 1e-3]))
 # the active-set finish certifies a wrong support on this problem if the
 # KKT gradient tolerance of _kkt_solve is loosened from 1e-8 to 1e-3
-@example(N=13, K=2, c=1.2, seed=1026255426)
-def test_min_variance_matches_apg_oracle(N, K, c, seed):
-    Sigma = _factor_matrix(N, K, seed)
+@example(N=13, K=2, c=1.2, seed=1026255426, scale=1.0)
+def test_min_variance_matches_apg_oracle(N, K, c, seed, scale):
+    # the tolerance has an absolute part, so on a scaled-down matrix a
+    # loosened one also certifies supports that miss an asset whose
+    # optimal weight is small; those problems need no pinned example
+    Sigma = _factor_matrix(N, K, seed, scale)
     est = _estimate(Sigma)
     want, certified = _oracle_solve(est, c)
     with warnings.catch_warnings():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import portrisk as pr
+import portrisk.simulation as sim
 from portrisk.simulation import (
     default_workers,
     stationary_mean,
@@ -104,6 +105,28 @@ def test_calibration_validation():
         dataclasses.replace(base, corr_cap=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("corr_mean", float("nan")), ("corr_mean", float("inf")), ("corr_mean", float("-inf")),
+    ("corr_sd", -0.1), ("corr_sd", float("nan")), ("corr_sd", float("inf")),
+])
+def test_calibration_rejects_invalid_correlation_draws(field, value, monkeypatch):
+    # corr_mean=nan used to give threshold 0 and an all-NaN off-diagonal;
+    # corr_sd=-0.1 failed only inside a task, with numpy's "scale < 0"
+    def no_market(*args):
+        raise AssertionError("a market was simulated")
+
+    monkeypatch.setattr(pr.simulation, "_generate_markets", no_market)
+    base = pr.default_calibration()
+    with pytest.raises(pr.DataError, match=field):
+        dataclasses.replace(base, **{field: value})
+    with pytest.raises(pr.DataError, match=field):
+        pr.run_experiment([pr.ExperimentCell(
+            N=50, T=50, c=1.0, calibration=dataclasses.replace(base, **{field: value}))], 1)
+    # the grid config has no calibration keys: naming one fails as unknown
+    with pytest.raises(pr.DataError, match=f"unknown key '{field}'"):
+        pr.parse_grid_config(f"Ns = 50\nTs = 50\ncs = 1\n{field} = {value}\n")
+
+
 # ----------------------------------------------------------------- lyapunov
 
 def test_lyapunov_zero_phi_returns_cov():
@@ -180,20 +203,25 @@ def test_error_cov_positive_definite_at_scale():
     assert np.linalg.eigvalsh(S)[0] > 0
 
 
+def _raw_error_corr(params, N, rng):
+    """Error sds and the unthresholded correlation matrix, in draw order."""
+    sds = _draw_error_sds(params, N, rng)
+    corr = np.eye(N)
+    iu = np.triu_indices(N, k=1)
+    draws = np.clip(rng.normal(params.corr_mean, params.corr_sd, size=iu[0].size),
+                    -params.corr_cap, params.corr_cap)
+    corr[iu] = draws
+    corr[(iu[1], iu[0])] = draws
+    return sds, corr
+
+
 def test_error_cov_threshold_is_minimal():
     # replay the documented draw order (sds first, then correlations) to
     # rebuild the raw correlation matrix, then check the returned
     # threshold restores positive definiteness while half of it does not
     p = pr.default_calibration()
     sigma_u, corr_used, threshold = _error_cov_detail(p, 100, np.random.default_rng(55))
-    replay = np.random.default_rng(55)
-    _draw_error_sds(p, 100, replay)
-    raw = np.eye(100)
-    iu = np.triu_indices(100, k=1)
-    draws = np.clip(replay.normal(p.corr_mean, p.corr_sd, size=iu[0].size),
-                    -p.corr_cap, p.corr_cap)
-    raw[iu] = draws
-    raw[(iu[1], iu[0])] = draws
+    _, raw = _raw_error_corr(p, 100, np.random.default_rng(55))
     assert not _is_pd(raw)
     assert threshold == pytest.approx(0.8139342579259045, abs=1e-9)
     assert _is_pd(_hard_threshold_corr(raw, threshold))
@@ -204,13 +232,7 @@ def test_error_cov_threshold_is_minimal():
 
 def _plain_bisection_error_cov(params, N, rng):
     """The threshold search with a factorization at every midpoint."""
-    sds = _draw_error_sds(params, N, rng)
-    corr = np.eye(N)
-    iu = np.triu_indices(N, k=1)
-    draws = np.clip(rng.normal(params.corr_mean, params.corr_sd, size=iu[0].size),
-                    -params.corr_cap, params.corr_cap)
-    corr[iu] = draws
-    corr[(iu[1], iu[0])] = draws
+    sds, corr = _raw_error_corr(params, N, rng)
     threshold = 0.0
     if not _is_pd(corr):
         lo, hi = 0.0, float(np.max(np.abs(corr - np.eye(N))))
@@ -225,15 +247,73 @@ def _plain_bisection_error_cov(params, N, rng):
     return corr * np.outer(sds, sds), corr, threshold
 
 
-@pytest.mark.parametrize("N", [100, 600])
+@pytest.mark.parametrize("N", [2, 20, 100, 300, 600])
 def test_error_cov_search_equals_plain_bisection(N):
     params = pr.default_calibration()
-    for seed in range(2):
+    for seed in range(3):
         got = _error_cov_detail(params, N, pr.derive_rng(seed, "bisect", N))
         want = _plain_bisection_error_cov(params, N, pr.derive_rng(seed, "bisect", N))
         assert got[2] == want[2]
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+def test_error_cov_block_decisions_equal_full_factorizations(monkeypatch):
+    # every factorized midpoint decides on the block of the rows that keep
+    # an entry (or on the full matrix past half of the rows); the full
+    # matrix thresholded at the same level must get the same decision
+    calls = []
+    real_block, real_is_pd = sim._surviving_block, sim._is_pd
+
+    def block(corr, magnitudes, iu, level):
+        out = real_block(corr, magnitudes, iu, level)
+        calls.append([level, out is corr, None])
+        return out
+
+    def is_pd(matrix):
+        result = real_is_pd(matrix)
+        if calls and calls[-1][2] is None:
+            calls[-1][2] = result
+        return result
+
+    monkeypatch.setattr(sim, "_surviving_block", block)
+    monkeypatch.setattr(sim, "_is_pd", is_pd)
+    params = pr.default_calibration()
+    mismatches, paths = 0, {True: 0, False: 0}
+    for N in (20, 100, 300, 600):
+        for seed in range(3):
+            calls.clear()
+            _error_cov_detail(params, N, pr.derive_rng(seed, "decide", N))
+            _, raw = _raw_error_corr(params, N, pr.derive_rng(seed, "decide", N))
+            for level, full, decided in calls:
+                paths[full] += 1
+                mismatches += decided != real_is_pd(_hard_threshold_corr(raw, level))
+    assert mismatches == 0
+    assert paths[False] > 0 and paths[True] > 0
+
+
+def test_error_cov_keeps_every_entry_when_pd_at_level_zero():
+    p = dataclasses.replace(pr.default_calibration(), corr_mean=0.0, corr_sd=0.01)
+    sigma_u, corr_used, threshold = _error_cov_detail(p, 20, pr.derive_rng(181, "zero"))
+    sds, raw = _raw_error_corr(p, 20, pr.derive_rng(181, "zero"))
+    assert _is_pd(raw)
+    assert threshold == 0.0
+    assert np.array_equal(corr_used, raw)
+    assert np.count_nonzero(corr_used) == 20 * 20
+    assert np.array_equal(sigma_u, raw * np.outer(sds, sds))
+
+
+def test_error_cov_search_ending_at_the_cap_gives_a_diagonal_matrix():
+    # nearly every correlation is clipped to +-corr_cap with a random sign,
+    # so no level below the cap leaves a PD matrix
+    p = dataclasses.replace(pr.default_calibration(), corr_mean=0.0, corr_sd=10.0)
+    got = _error_cov_detail(p, 50, pr.derive_rng(183, "cap"))
+    want = _plain_bisection_error_cov(p, 50, pr.derive_rng(183, "cap"))
+    sds, _ = _raw_error_corr(p, 50, pr.derive_rng(183, "cap"))
+    assert got[2] == want[2] == p.corr_cap
+    assert np.array_equal(got[1], np.eye(50))
+    assert np.array_equal(got[0], np.diag(sds ** 2))
+    assert np.array_equal(got[0], want[0])
 
 
 def test_var1_factors_shape_and_degenerate_limit():
