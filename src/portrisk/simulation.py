@@ -299,7 +299,8 @@ def _surviving_block(corr: np.ndarray, magnitudes: np.ndarray, iu, level: float)
     magnitudes holds |corr| at the upper-triangle positions iu.  The
     thresholded matrix is the identity outside the rows that keep an
     off-diagonal entry, so it is PD exactly when their block is.  The
-    full matrix is returned when those rows are more than half of all rows.
+    full matrix is returned when those rows are more than half of all rows:
+    there, copying the block costs more than the factorization it saves.
     """
     kept = np.flatnonzero(magnitudes > level)
     touched = np.zeros(corr.shape[0], dtype=bool)

@@ -265,10 +265,10 @@ def _factor_matrix(N, K, seed, scale=1.0):
     return scale * (B @ cov_f @ B.T + np.diag(rng.uniform(0.1, 2.0, size=N)))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(N=st.integers(2, 40), K=st.integers(1, 3),
        c=st.sampled_from([1.0, 1.2, 1.6, 2.0]), seed=st.integers(0, 2**32 - 1),
-       scale=st.sampled_from([1.0, 1e-2, 1e-3]))
+       scale=st.sampled_from([1.0, 1e-2]))
 # the active-set finish certifies a wrong support on this problem if the
 # KKT gradient tolerance of _kkt_solve is loosened from 1e-8 to 1e-3
 @example(N=13, K=2, c=1.2, seed=1026255426, scale=1.0)

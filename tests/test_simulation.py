@@ -109,19 +109,14 @@ def test_calibration_validation():
     ("corr_mean", float("nan")), ("corr_mean", float("inf")), ("corr_mean", float("-inf")),
     ("corr_sd", -0.1), ("corr_sd", float("nan")), ("corr_sd", float("inf")),
 ])
-def test_calibration_rejects_invalid_correlation_draws(field, value, monkeypatch):
+def test_calibration_rejects_invalid_correlation_draws(field, value):
     # corr_mean=nan used to give threshold 0 and an all-NaN off-diagonal;
-    # corr_sd=-0.1 failed only inside a task, with numpy's "scale < 0"
-    def no_market(*args):
-        raise AssertionError("a market was simulated")
-
-    monkeypatch.setattr(pr.simulation, "_generate_markets", no_market)
+    # corr_sd=-0.1 failed only inside a task, with numpy's "scale < 0".
+    # A frozen CalibrationParams cannot be built with such a value, so no
+    # cell or experiment can reach a market with one
     base = pr.default_calibration()
     with pytest.raises(pr.DataError, match=field):
         dataclasses.replace(base, **{field: value})
-    with pytest.raises(pr.DataError, match=field):
-        pr.run_experiment([pr.ExperimentCell(
-            N=50, T=50, c=1.0, calibration=dataclasses.replace(base, **{field: value}))], 1)
     # the grid config has no calibration keys: naming one fails as unknown
     with pytest.raises(pr.DataError, match=f"unknown key '{field}'"):
         pr.parse_grid_config(f"Ns = 50\nTs = 50\ncs = 1\n{field} = {value}\n")
