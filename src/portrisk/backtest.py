@@ -30,7 +30,7 @@ from .assessment import autocov_factor, autocov_poet, autocov_sample, estimator_
 from .errors import DataError, NumericalError, PortriskError
 from .estimators import ESTIMATOR_NAMES, ensure_positive_definite, portfolio_variance
 from .panels import FactorPanel, ReturnsPanel, align_panels
-from .portfolios import equal_weight, min_variance
+from .portfolios import _exposure_value, equal_weight, min_variance
 
 __all__ = [
     "BacktestConfig",
@@ -89,8 +89,7 @@ class BacktestConfig:
         if not 0 < self.tau < 1:
             raise DataError(f"tau must lie in (0, 1), got {self.tau}")
         for c in self.exposures:
-            if not c >= 1.0:
-                raise DataError(f"gross exposure must be a number at least 1, got c={c}")
+            _exposure_value(c)
         labels = [_minvar_label(c) for c in self.exposures]
         if len(set(labels)) != len(labels):
             raise DataError(

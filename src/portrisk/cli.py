@@ -11,7 +11,6 @@ matrices, non-convergence).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import logging
 import sys
@@ -25,7 +24,7 @@ from .backtest import BacktestConfig, run_empirical_study
 from .errors import DataError, NumericalError, UsageError
 from .estimators import ESTIMATOR_NAMES, portfolio_variance
 from .panels import ParseConfig, load_factors_csv, load_returns_csv
-from .portfolios import Portfolio, equal_weight, sample_random_portfolio
+from .portfolios import Portfolio, equal_weight, sample_random_weights
 from .reporting import (
     _markdown_table,
     backtest_markdown,
@@ -38,10 +37,12 @@ from .reporting import (
 from .rng import derive_rng
 from .serialization import (
     make_header_lines,
+    read_csv,
     read_portfolio_csv,
     write_assessment_csv,
     write_covariance_binary,
     write_covariance_csv,
+    write_csv,
 )
 from .simulation import parse_grid_config, run_experiment
 
@@ -255,25 +256,18 @@ def _cmd_sample_portfolios(args) -> int:
         raise UsageError("--count must be at least 1")
     rng = derive_rng(_seed(args), "cli-portfolios", args.n_assets,
                      float(args.exposure))
-    out = _outdir(args)
-    name = args.out or "portfolios.csv"
-    path = out / name
-    with open(path, "w", newline="") as fh:
-        for line in make_header_lines(seed=_seed(args)):
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(("portfolio", "asset", "weight"))
-        for i in range(args.count):
-            pf = sample_random_portfolio(args.n_assets, args.exposure, rng)
-            for j, w in enumerate(pf.weights):
-                writer.writerow((i, f"a{j:04d}", repr(float(w))))
+    # one column per portfolio, drawn in full before the file is opened
+    W = sample_random_weights(args.n_assets, args.exposure, rng, P=args.count)
+    path = _outdir(args) / (args.out or "portfolios.csv")
+    write_csv(path, make_header_lines(seed=_seed(args)), ("portfolio", "asset", "weight"),
+              ((i, f"a{j:04d}", w) for i, col in enumerate(W.T) for j, w in enumerate(col)))
     print(f"wrote {path} ({args.count} portfolios, N={args.n_assets}, "
           f"exposure {args.exposure:g})")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    text = Path(args.config).read_text()
+    text = Path(args.config).read_text(encoding="utf-8")
     cfg = parse_grid_config(text)
     seed = args.seed if args.seed is not None else cfg.base_seed
     config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -320,8 +314,7 @@ def _cmd_empirical(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.cells, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    rows = read_csv(args.cells)
     if len(rows) < 2:
         raise DataError(f"{args.cells}: no data rows")
     header, body = rows[0], rows[1:]

@@ -238,7 +238,7 @@ def factor_covariance(fit: FactorModelFit, rule: ThresholdRule, C: float) -> Cov
     Sigma_u = _threshold_offdiag(S_u, tau, rule)
     M = fit.loadings @ fit.factor_cov @ fit.loadings.T + Sigma_u
     est = CovarianceEstimate(M, "factor", {"C": C, "rule": rule.kind, "K": fit.K})
-    est._rebuild = lambda C2, rule2: factor_covariance(fit, rule2, C2)
+    est._rebuild = lambda C2: factor_covariance(fit, rule, C2)
     return est
 
 
@@ -341,7 +341,7 @@ def poet_covariance(
     tau = C * np.sqrt(np.outer(d, d)) * (math.sqrt(math.log(N) / T) + 1.0 / math.sqrt(N))
     omega_t = _threshold_offdiag(omega, tau, rule)
     est = CovarianceEstimate(lowrank + omega_t, "poet", {"C": C, "rule": rule.kind, "K": K})
-    est._rebuild = lambda C2, rule2: poet_covariance(returns, K, rule2, C2, demean=demean)
+    est._rebuild = lambda C2: poet_covariance(returns, K, rule, C2, demean=demean, fit=fit)
     return est
 
 
@@ -383,20 +383,15 @@ def portfolio_variance(estimate: CovarianceEstimate, w) -> float:
     return float(weights @ estimate.matrix @ weights)
 
 
-def ensure_positive_definite(
-    estimate: CovarianceEstimate,
-    rule: ThresholdRule | None = None,
-    C_start: float | None = None,
-) -> CovarianceEstimate:
+def ensure_positive_definite(estimate: CovarianceEstimate) -> CovarianceEstimate:
     """Re-threshold with doubled C until the estimate is positive definite.
 
     Returns the input unchanged when its smallest eigenvalue already
-    exceeds 1e-8.  Otherwise it rebuilds at 2 * C_start, 4 * C_start, ...
-    (at most 20 rebuilds; C_start itself is never tried, as the C is
-    doubled before each rebuild) and returns the first positive-definite
-    estimate, with the C actually used recorded in tuning.  By default the
-    estimate's own rule is kept and C_start is the estimate's own C (or
-    0.05 when that C is zero).
+    exceeds 1e-8.  Otherwise it keeps the estimate's own rule (scad_a
+    included) and rebuilds at 2 * C0, 4 * C0, ... (at most 20 rebuilds;
+    C0 itself is never tried), where C0 is the estimate's own C (or 0.05
+    when that C is zero), and returns the first positive-definite
+    estimate, with the C actually used recorded in tuning.
     """
     if estimate.kind not in ("factor", "poet"):
         raise DataError("only factor and poet estimates can be re-thresholded")
@@ -404,17 +399,11 @@ def ensure_positive_definite(
         return estimate
     if estimate._rebuild is None:
         raise NumericalError("estimate carries no re-threshold recipe")
-    if rule is None:
-        rule = ThresholdRule(estimate.tuning.get("rule", "soft"))
-    if C_start is None:
-        recorded = float(estimate.tuning.get("C", 0.0))
-        C_start = recorded if recorded > 0 else 0.05
-    if C_start <= 0:
-        raise DataError("C_start must be positive")
-    C = float(C_start)
+    recorded = float(estimate.tuning.get("C", 0.0))
+    C = recorded if recorded > 0 else 0.05
     for _ in range(20):
         C *= 2.0
-        candidate = estimate._rebuild(C, rule)
+        candidate = estimate._rebuild(C)
         if candidate.min_eigenvalue > 1e-8:
             return candidate
     raise NumericalError(f"still not positive definite after 20 doublings (C={C:g})")

@@ -11,13 +11,13 @@ downstream assumes a complete panel, so nothing is imputed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
+from .serialization import read_csv
 
 __all__ = [
     "ParseConfig",
@@ -181,9 +181,7 @@ def _read_table(path, config: ParseConfig):
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=config.delimiter)
-        rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
+    rows = read_csv(path, config.delimiter)
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")
     header = [cell.strip() for cell in rows[0]]

@@ -55,9 +55,10 @@ class Portfolio:
 
 
 def _exposure_value(c) -> float:
+    """c as a float; anything but a finite number at least 1 is a DataError."""
     value = float(c)
-    if not value >= 1.0:
-        raise DataError(f"gross exposure must be at least 1, got {value}")
+    if not 1.0 <= value < math.inf:
+        raise DataError(f"gross exposure must be a finite number at least 1, got c={value}")
     return value
 
 

@@ -8,9 +8,8 @@ units of the underlying data.
 
 from __future__ import annotations
 
-import csv
-
 from .backtest import BacktestReport, annualize_risk
+from .serialization import write_csv
 from .simulation import ExperimentReport
 
 __all__ = [
@@ -30,20 +29,10 @@ _CELL_COLUMNS = (
 )
 
 
-def _write_csv(path, header_lines, column_names, rows):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line.rstrip("\n") + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(column_names)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
 def experiment_cells_csv(report: ExperimentReport, path, header_lines=()):
     """One row per (cell, estimator) aggregate, in grid order."""
     rows = [tuple(getattr(agg, col) for col in _CELL_COLUMNS) for agg in report.cells]
-    _write_csv(path, header_lines, _CELL_COLUMNS, rows)
+    write_csv(path, header_lines, _CELL_COLUMNS, rows)
 
 
 def experiment_figures_csv(report: ExperimentReport, path, periods_per_year=252.0,
@@ -56,7 +45,7 @@ def experiment_figures_csv(report: ExperimentReport, path, periods_per_year=252.
          agg.mean_xi, annualize_risk(agg.mean_true_risk, periods_per_year))
         for agg in report.cells
     ]
-    _write_csv(path, header_lines, cols, rows)
+    write_csv(path, header_lines, cols, rows)
 
 
 def _markdown_table(columns, rows) -> str:
@@ -100,7 +89,7 @@ def backtest_records_csv(report: BacktestReport, path, header_lines=()):
         tuple(getattr(rec, col) for col in _RECORD_COLUMNS)
         for rec in report.records
     ]
-    _write_csv(path, header_lines, _RECORD_COLUMNS, rows)
+    write_csv(path, header_lines, _RECORD_COLUMNS, rows)
 
 
 _SUMMARY_COLUMNS = (
@@ -115,7 +104,7 @@ def backtest_summary_csv(report: BacktestReport, path, header_lines=()):
         tuple(getattr(agg, col) for col in _SUMMARY_COLUMNS)
         for agg in report.aggregates
     ]
-    _write_csv(path, header_lines, _SUMMARY_COLUMNS, rows)
+    write_csv(path, header_lines, _SUMMARY_COLUMNS, rows)
 
 
 def backtest_markdown(report: BacktestReport) -> str:

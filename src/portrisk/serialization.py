@@ -1,9 +1,10 @@
 """File formats: covariance matrices, portfolios, panels, assessment rows.
 
-All text formats are CSV with optional leading comment lines marked by
-'#'.  Floats are written with repr(), which round-trips doubles exactly,
-so write/read cycles are lossless.  The binary covariance format stores
-the lower triangle only:
+All text formats are UTF-8 CSV with optional comment lines marked by '#'
+(indentation allowed); write_csv and read_csv are the package's only CSV
+writer and reader.  Floats are written as repr(float(v)), which
+round-trips doubles exactly, so write/read cycles are lossless.  The
+binary covariance format stores the lower triangle only:
 
     bytes 0..3   magic "PRL1"
     bytes 4..7   N as little-endian uint32
@@ -24,9 +25,10 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DataError
-from .panels import ReturnsPanel
 
 __all__ = [
+    "write_csv",
+    "read_csv",
     "make_header_lines",
     "write_covariance_csv",
     "read_covariance_csv",
@@ -46,6 +48,25 @@ ASSESSMENT_COLUMNS = (
     "variance_hat", "risk_hat", "sigma2_hat",
     "u_variance", "u_risk", "xi", "delta", "re1", "re2", "clamped",
 )
+
+
+def write_csv(path, header_lines, columns, rows):
+    """Comment lines, a column row, then rows; float cells as repr(float(v))."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for line in header_lines:
+            fh.write(line.rstrip("\n") + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def read_csv(path, delimiter=",") -> list:
+    """Parsed rows without blank rows and rows whose first cell starts
+    with '#' after whitespace."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row for row in csv.reader(fh, delimiter=delimiter)
+                if row and not row[0].lstrip().startswith("#")]
 
 
 def make_header_lines(seed=None, config_hash=None, extra=()) -> list:
@@ -73,36 +94,15 @@ def _matrix_and_names(estimate_or_matrix, assets):
     return matrix, assets
 
 
-def _write_lines(path, header_lines, emit):
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line.rstrip("\n") + "\n")
-        emit(csv.writer(fh))
-
-
-def _data_rows(path):
-    """Parsed CSV rows with comment and blank lines stripped."""
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            yield row
-
-
 def write_covariance_csv(path, estimate_or_matrix, assets=None, header_lines=()):
     matrix, names = _matrix_and_names(estimate_or_matrix, assets)
-
-    def emit(writer):
-        writer.writerow(("asset",) + names)
-        for name, row in zip(names, matrix):
-            writer.writerow([name] + [repr(float(v)) for v in row])
-
-    _write_lines(path, header_lines, emit)
+    write_csv(path, header_lines, ("asset",) + names,
+              ([name, *row] for name, row in zip(names, matrix)))
 
 
 def read_covariance_csv(path):
     """Matrix and asset names from the CSV layout written above."""
-    rows = list(_data_rows(path))
+    rows = read_csv(path)
     if not rows:
         raise DataError(f"{path}: no data rows")
     names = tuple(rows[0][1:])
@@ -155,17 +155,11 @@ def write_portfolio_csv(path, portfolio, assets=None, header_lines=()):
         assets = tuple(f"a{i:04d}" for i in range(weights.size))
     if len(assets) != weights.size:
         raise DataError(f"{len(assets)} asset names for {weights.size} weights")
-
-    def emit(writer):
-        writer.writerow(("asset", "weight"))
-        for name, w in zip(assets, weights):
-            writer.writerow((name, repr(float(w))))
-
-    _write_lines(path, header_lines, emit)
+    write_csv(path, header_lines, ("asset", "weight"), zip(assets, weights))
 
 
 def read_portfolio_csv(path):
-    rows = list(_data_rows(path))
+    rows = read_csv(path)
     if not rows or rows[0][:2] != ["asset", "weight"]:
         raise DataError(f"{path}: expected an 'asset,weight' header row")
     names, weights = [], []
@@ -180,25 +174,12 @@ def read_portfolio_csv(path):
     return np.asarray(weights), tuple(names)
 
 
-def write_returns_csv(path, panel: ReturnsPanel, header_lines=()):
-    def emit(writer):
-        writer.writerow(("date",) + panel.assets)
-        for date, row in zip(panel.dates, panel.values):
-            writer.writerow([date] + [repr(float(v)) for v in row])
-
-    _write_lines(path, header_lines, emit)
+def write_returns_csv(path, panel, header_lines=()):
+    write_csv(path, header_lines, ("date",) + panel.assets,
+              ([date, *row] for date, row in zip(panel.dates, panel.values)))
 
 
 def write_assessment_csv(path, rows, header_lines=()):
     """Rows are mappings with the ASSESSMENT_COLUMNS keys."""
-
-    def emit(writer):
-        writer.writerow(ASSESSMENT_COLUMNS)
-        for row in rows:
-            out = []
-            for col in ASSESSMENT_COLUMNS:
-                v = row[col]
-                out.append(repr(float(v)) if isinstance(v, float) else v)
-            writer.writerow(out)
-
-    _write_lines(path, header_lines, emit)
+    write_csv(path, header_lines, ASSESSMENT_COLUMNS,
+              ([row[col] for col in ASSESSMENT_COLUMNS] for row in rows))

@@ -63,7 +63,7 @@ from .assessment import (
 from .errors import DataError, NumericalError
 from .estimators import ESTIMATOR_NAMES
 from .panels import FactorPanel, ReturnsPanel
-from .portfolios import sample_random_portfolio, sample_random_weights
+from .portfolios import _exposure_value, sample_random_portfolio, sample_random_weights
 from .rng import derive_rng
 
 __all__ = [
@@ -462,8 +462,7 @@ class ExperimentCell:
     def __post_init__(self):
         if self.N < 1 or self.T < 2:
             raise DataError(f"cell needs N >= 1 and T >= 2, got N={self.N}, T={self.T}")
-        if not 1.0 <= self.c < math.inf:
-            raise DataError(f"gross exposure must be a finite number at least 1, got c={self.c}")
+        _exposure_value(self.c)
         if not 0 <= self.L < self.T:
             raise DataError(f"lag truncation must satisfy 0 <= L < T, got L={self.L}, T={self.T}")
         if not 0 < self.tau < 1:

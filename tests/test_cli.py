@@ -216,6 +216,30 @@ def test_empirical_nan_exposure_is_data_error(panel_files, tmp_path, capsys):
     assert "c=nan" in capsys.readouterr().err
 
 
+def test_empirical_infinite_exposure_exits_2_before_any_window(
+        panel_files, tmp_path, capsys, monkeypatch):
+    _, _, rpath, fpath = panel_files
+
+    def no_window(*args, **kwargs):
+        raise AssertionError("a window was estimated")
+
+    monkeypatch.setattr(pr.EstimatorSpec, "fit", no_window)
+    code = main(["--output-dir", str(tmp_path), "empirical",
+                 "--returns", rpath, "--factors", fpath, "--exposures", "1,inf",
+                 "--estimation-window", "60"])
+    assert code == 2
+    assert "c=inf" in capsys.readouterr().err
+    assert not (tmp_path / "backtest_records.csv").exists()
+
+
+def test_sample_portfolios_infinite_exposure_is_data_error(tmp_path, capsys):
+    # used to die in numpy's binomial with a raw ValueError traceback
+    assert main(["--output-dir", str(tmp_path), "sample-portfolios",
+                 "--n-assets", "5", "--exposure", "inf"]) == 2
+    assert "c=inf" in capsys.readouterr().err
+    assert not (tmp_path / "portfolios.csv").exists()
+
+
 def test_verbose_simulate_logs_progress_to_stderr_only(tmp_path):
     # a fresh interpreter, so --verbose configures logging as in a real run
     cfg = tmp_path / "grid.cfg"
@@ -306,3 +330,19 @@ def test_report_rejects_a_truncated_row(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "data row 1 has 5 fields" in err
+
+
+def test_report_skips_an_indented_comment_line(tmp_path, capsys):
+    # an indented '#' line used to be read as the column row (exit 2)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(SIM_CONFIG)
+    assert main(["--output-dir", str(tmp_path), "--threads", "1",
+                 "simulate", "--config", str(cfg)]) == 0
+    cells = tmp_path / "experiment_cells.csv"
+    capsys.readouterr()
+    assert main(["report", "--cells", str(cells)]) == 0
+    plain = capsys.readouterr().out
+    indented = tmp_path / "indented.csv"
+    indented.write_bytes(b"  # copied from a run\n" + cells.read_bytes())
+    assert main(["report", "--cells", str(indented)]) == 0
+    assert capsys.readouterr().out == plain

@@ -452,3 +452,30 @@ def test_ensure_pd_doubles_C_until_pd():
     assert fixed.tuning["C"] == ENSURE_PD_FINAL_C
     rebuilt = pr.poet_covariance(panel, 3, pr.ThresholdRule("soft"), fixed.tuning["C"])
     assert np.array_equal(rebuilt.matrix, fixed.matrix)
+
+
+def test_ensure_pd_keeps_the_scad_parameter():
+    # the repair used to rebuild the rule from its kind alone, so scad_a
+    # fell back to 3.7
+    _, panel, _ = calibrated_market(300, 100, (23, "pdfix"))
+    rule = pr.ThresholdRule("scad", 6.0)
+    fixed = pr.ensure_positive_definite(pr.poet_covariance(panel, 3, rule, 0.05))
+    rebuilt = pr.poet_covariance(panel, 3, rule, fixed.tuning["C"])
+    assert np.array_equal(rebuilt.matrix, fixed.matrix)
+
+
+def test_ensure_pd_reuses_the_poet_pca_fit(monkeypatch):
+    # each doubling used to refit the PCA of the whole panel
+    _, panel, _ = calibrated_market(300, 100, (23, "pdfix"))
+    start = pr.poet_covariance(panel, 3, pr.ThresholdRule("soft"), 0.05)
+    calls = []
+    fit = pr.estimators.pca_factor_fit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(pr.estimators, "pca_factor_fit", counted)
+    fixed = pr.ensure_positive_definite(start)
+    assert fixed.tuning["C"] == ENSURE_PD_FINAL_C
+    assert calls == []

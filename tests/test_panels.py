@@ -1,5 +1,7 @@
 """Panel loading, alignment, and preprocessing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,57 @@ def test_percent_units_flag(tmp_path):
     assert plain.values[0, 0] == 1.25
 
 
+# the loader takes a cell exactly when float() takes it after stripping;
+# these pin that contract for any faster parser
+
+def test_underscores_and_padding_parse_as_float_does(tmp_path):
+    path = write_text(tmp_path / "tokens.csv", [
+        "date , aaa ,bbb",
+        "2020-01-01,1_000,  0.5 ",
+        " 2020-01-02 ,\t-2e-3,+.25",
+    ])
+    panel = pr.load_returns_csv(path)
+    assert panel.dates == ("2020-01-01", "2020-01-02")
+    assert panel.assets == ("aaa", "bbb")
+    assert panel.values.tolist() == [[1000.0, 0.5], [-0.002, 0.25]]
+
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-Infinity"])
+def test_non_finite_tokens_parse_then_fail_the_panel(tmp_path, token):
+    path = write_text(tmp_path / "nf.csv", [
+        "date,aaa,bbb",
+        "2020-01-01,0.1,0.2",
+        f"2020-01-02,0.3,{token}",
+    ])
+    with pytest.raises(pr.DataError, match="non-finite value at date '2020-01-02', asset 'bbb'"):
+        pr.load_returns_csv(path)
+    with pytest.raises(pr.DataError, match="non-finite value at date '2020-01-02', factor 'bbb'"):
+        pr.load_factors_csv(path)
+
+
+def test_percent_units_multiply_each_parsed_value_by_0_01(tmp_path):
+    # ParseConfig(percent_units=True) is what --percent sets; float(t) / 100
+    # differs in the last bit for some of these tokens
+    tokens = ["26.23", "22.15", "-11.88", "1.25"]
+    path = write_text(tmp_path / "pct.csv",
+                      ["date,aaa"] + [f"d{i},{t}" for i, t in enumerate(tokens)])
+    panel = pr.load_returns_csv(path, pr.ParseConfig(percent_units=True))
+    assert panel.values[:, 0].tolist() == [float(t) * 0.01 for t in tokens]
+    assert panel.values[:, 0].tolist() != [float(t) / 100 for t in tokens]
+
+
+@pytest.mark.parametrize("token", ["", "1.5%", "0x10", "1,5"])
+def test_tokens_float_rejects_name_row_and_column(tmp_path, token):
+    path = write_text(tmp_path / "bad.csv", [
+        "date;aaa;bbb",
+        "2020-01-01;0.1;0.2",
+        f"2020-01-02;0.3;{token}",
+    ])
+    with pytest.raises(pr.DataError, match=re.escape(
+            f"row 2, column 'bbb': cannot parse {token!r} as a number")):
+        pr.load_returns_csv(path, pr.ParseConfig(delimiter=";"))
+
+
 def test_duplicate_date_error(tmp_path):
     path = write_text(tmp_path / "dup.csv", [
         "date,f1,f2,f3",
@@ -106,6 +159,7 @@ def test_rate_series_unknown_column(tmp_path):
 def test_comment_lines_are_skipped(tmp_path):
     path = write_text(tmp_path / "c.csv", [
         "# generated by hand",
+        "  # indented",
         "date,aaa",
         "2020-01-01,0.5",
         "2020-01-02,0.25",

@@ -169,6 +169,13 @@ def test_batched_sampler_validation():
         pr.sample_random_weights(5, 0.8, rng, 3)
 
 
+@pytest.mark.parametrize("c", [float("inf"), float("nan"), 0.8])
+def test_sampler_rejects_exposure_outside_finite_range(c):
+    # c=inf used to reach numpy's binomial as p=nan and raise its ValueError
+    with pytest.raises(pr.DataError, match=f"c={c}"):
+        pr.sample_random_weights(5, c, pr.derive_rng(117, "bad"))
+
+
 # ------------------------------------------------------------- min variance
 
 def _estimate(Sigma):

@@ -1,6 +1,10 @@
 """Round-trips and byte-level contracts for the file formats."""
 
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -146,3 +150,44 @@ def test_make_header_lines_is_pure():
     assert a == [f"# portrisk {pr.__version__}", "# seed=3",
                  "# config_sha256=ab12", "# note"]
     assert make_header_lines() == [f"# portrisk {pr.__version__}"]
+
+
+def test_write_csv_and_read_csv(tmp_path):
+    path = tmp_path / "t.csv"
+    ser.write_csv(path, ["# one", "# two\n"], ("name", "x", "n"),
+                  [("a", np.float64(0.1), 3), ("b,c", 1.0 / 3.0, np.int64(4))])
+    assert path.read_bytes() == (b"# one\n# two\nname,x,n\r\n"
+                                 b"a,0.1,3\r\n\"b,c\",0.3333333333333333,4\r\n")
+    path.write_bytes(b"  # indented\n\n" + path.read_bytes() + b"\n\t#tail\n")
+    assert ser.read_csv(path) == [["name", "x", "n"], ["a", "0.1", "3"],
+                                  ["b,c", "0.3333333333333333", "4"]]
+    path.write_text("x;y\n1,5;2\n", encoding="utf-8")
+    assert ser.read_csv(path, delimiter=";") == [["x", "y"], ["1,5", "2"]]
+
+
+def test_text_formats_are_utf8_under_the_c_locale(tmp_path):
+    # the writers used the locale encoding, so an asset name outside ASCII
+    # raised UnicodeEncodeError where load_returns_csv reads UTF-8
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import portrisk as pr
+        from portrisk import serialization as ser
+        out = sys.argv[1]
+        assets = ("\\u00e9", "b")
+        panel = pr.ReturnsPanel(("d1", "d2"), assets, [[0.1, -0.2], [0.3, 1 / 3]])
+        ser.write_returns_csv(out + "/r.csv", panel)
+        back = pr.load_returns_csv(out + "/r.csv")
+        assert back.assets == assets and np.array_equal(back.values, panel.values)
+        ser.write_covariance_csv(out + "/c.csv", np.eye(2) / 3, assets=assets)
+        matrix, names = ser.read_covariance_csv(out + "/c.csv")
+        assert names == assets and np.array_equal(matrix, np.eye(2) / 3)
+    """)
+    src = os.path.dirname(os.path.dirname(pr.__file__))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name, first in (("r.csv", "date,\u00e9,b"), ("c.csv", "asset,\u00e9,b")):
+        assert (tmp_path / name).read_bytes().startswith(first.encode("utf-8"))
