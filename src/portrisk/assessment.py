@@ -175,6 +175,11 @@ def long_run_variances(series, centers, L: int):
     return gammas, sigma2, clamped
 
 
+def _quad_forms(matrix: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """w'Mw for every column of W at once."""
+    return np.einsum("ip,ip->p", W, matrix @ W)
+
+
 def _per_row(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """matrix @ r for each row r, one BLAS call per row as for a lone vector."""
     return np.matmul(matrix, rows[:, :, None])[:, :, 0]
@@ -269,6 +274,19 @@ class FittedEstimator:
     def autocov(self, w, L: int = DEFAULT_LAGS) -> LongRunVariance:
         """Long-run variance of one portfolio (or weight vector) w."""
         return _autocov(self.series, self.estimate.N, w, L)
+
+    def variances_and_series(self, W):
+        """(variances, series, centers) of the portfolios in the columns of W.
+
+        variances holds each w'Sigma_hat w.  The sample estimate's series is
+        centered at w'Sw = ||Xw||^2 / T on the same rows, so its variances
+        are those centers; factor and poet take the quadratic forms of
+        their matrix.
+        """
+        series, centers = self.series(W)
+        if self.estimate.kind == "sample":
+            return centers, series, centers
+        return _quad_forms(self.estimate.matrix, W), series, centers
 
 
 _DEFAULT_RULES = {"factor": "hard", "poet": "soft"}

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,7 +215,8 @@ def run_empirical_study(
     for the following block, and compares sqrt(w' Sigma_hat w) with the
     realized holding risk.  A window where an estimator cannot deliver
     (singular matrix, failed solve) is recorded in `skipped` with the
-    reason and raises a warning instead of aborting the study.
+    reason instead of aborting the study; one RuntimeWarning per call
+    counts the skipped cases by strategy, estimator and error type.
     """
     config = config or BacktestConfig()
     if "factor" in config.estimators:
@@ -232,6 +234,7 @@ def run_empirical_study(
     strategies = [("equal", None)] + [(_minvar_label(c), c) for c in config.exposures]
     records = []
     skipped = []
+    skips = Counter()  # skipped cases per (strategy/estimator, error type)
     for r in range(n_reb):
         lo, mid, hi = r * H, r * H + W, r * H + W + H
         window = returns.slice_rows(lo, mid)
@@ -246,11 +249,7 @@ def run_empirical_study(
             except PortriskError as exc:
                 for strategy, _ in strategies:
                     skipped.append(SkippedCase(r, strategy, spec.name, str(exc)))
-                warnings.warn(
-                    f"window {r}: {spec.name} estimator failed ({exc}); skipped",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+                    skips[f"{strategy}/{spec.name} {type(exc).__name__}"] += 1
                 continue
             for strategy, c in strategies:
                 try:
@@ -262,11 +261,17 @@ def run_empirical_study(
                                            pf, window, hold_block, config))
                 except PortriskError as exc:
                     skipped.append(SkippedCase(r, strategy, spec.name, str(exc)))
-                    warnings.warn(
-                        f"window {r}: {strategy}/{spec.name} skipped ({exc})",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
+                    skips[f"{strategy}/{spec.name} {type(exc).__name__}"] += 1
+    if skipped:
+        first = skipped[0]
+        counts = ", ".join(f"{n} {reason}" for reason, n in skips.items())
+        warnings.warn(
+            f"skipped {len(skipped)} of {n_reb * len(strategies) * len(config._specs)} "
+            f"(window, strategy, estimator) cases: {counts}; the first, window "
+            f"{first.index} {first.strategy}/{first.estimator}: {first.reason}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     aggregates = []
     ppy = config.periods_per_year

@@ -211,15 +211,21 @@ def _read_table(path, config: ParseConfig):
                 f"{path}: row {i} date {date!r} is not strictly after {dates[-1]!r}"
             )
         dates.append(date)
-        for out_j, j in enumerate(keep):
-            cell = row[1 + j].strip()
-            try:
-                values[i - 1, out_j] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {i}, column {names[j]!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
+        cells = row[1:] if len(keep) == len(names) else [row[1 + j] for j in keep]
+        try:
+            # numpy converts each str with float(): padding, underscores,
+            # Unicode digits and nan/inf parse as they do there
+            values[i - 1] = cells
+        except ValueError:
+            for j, cell in zip(keep, cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {i}, column {names[j]!r}: "
+                        f"cannot parse {cell.strip()!r} as a number"
+                    ) from None
+            raise
     return tuple(dates), tuple(names[j] for j in keep), values * scale
 
 

@@ -5,9 +5,13 @@ trivariate Gaussian, factors follow a stationary VAR(1), and errors are
 Gaussian with a sparse-by-construction covariance D * Sigma0 * D whose
 correlation matrix is hard-thresholded at the smallest level that makes
 it positive definite.  That level is found by bisection; a midpoint is
-decided by factoring only the principal block of the rows that keep an
-off-diagonal entry there (the thresholded matrix is the identity outside
-them), or the full matrix when those rows are more than half of all rows.
+decided on the principal block of the rows that keep an off-diagonal entry
+there (the thresholded matrix is the identity outside them), factoring
+leading blocks of those rows at growing sizes and stopping at the first
+that fails.  The calibrated error covariance keeps few such rows, so the
+errors take a Cholesky product only on the coupled rows and the true
+portfolio variances are assembled from the loadings, the error variances
+and that block, without an N x N product.
 The shipped loading and factor parameters are calibrated to daily data
 in percent units (a value of 1.0 means 1% per period), so simulated
 risks annualize to realistic equity magnitudes.
@@ -53,6 +57,7 @@ import numpy as np
 # wraps the module's names to profile it
 from .assessment import (
     EstimatorSpec,
+    _quad_forms,
     autocov_factor,
     autocov_poet,
     autocov_sample,
@@ -293,23 +298,38 @@ def _is_pd(matrix: np.ndarray) -> bool:
         return False
 
 
-def _surviving_block(corr: np.ndarray, magnitudes: np.ndarray, iu, level: float) -> np.ndarray:
-    """corr, or its principal block on the rows hard thresholding at level keeps.
+# sizes of the leading blocks a PD decision factors before the whole block
+_LEADING_BLOCKS = (32, 128, 512)
 
-    magnitudes holds |corr| at the upper-triangle positions iu.  The
-    thresholded matrix is the identity outside the rows that keep an
-    off-diagonal entry, so it is PD exactly when their block is.  The
-    full matrix is returned when those rows are more than half of all rows:
-    there, copying the block costs more than the factorization it saves.
+
+def _rows_of(i: np.ndarray, j: np.ndarray, N: int) -> np.ndarray:
+    """The sorted rows that the entries at positions (i, j) touch."""
+    touched = np.zeros(N, dtype=bool)
+    touched[i] = True
+    touched[j] = True
+    return np.flatnonzero(touched)
+
+
+def _thresholded_is_pd(corr: np.ndarray, rows: np.ndarray, level: float) -> bool:
+    """Whether corr hard-thresholded at level is positive definite.
+
+    rows are sorted and hold every row that keeps an off-diagonal entry
+    at level; the thresholded matrix is the identity outside them, so it
+    is PD exactly when their principal block is.  Leading blocks of rows
+    are factored first, at the sizes of _LEADING_BLOCKS: a principal
+    submatrix of a PD matrix is PD, so the first block that fails decides,
+    and only a block that passes moves on to the next size and finally to
+    all of rows.  Each block is copied and thresholded on its own.
     """
-    kept = np.flatnonzero(magnitudes > level)
-    touched = np.zeros(corr.shape[0], dtype=bool)
-    touched[iu[0][kept]] = True
-    touched[iu[1][kept]] = True
-    rows = np.flatnonzero(touched)
-    if 2 * rows.size > corr.shape[0]:
-        return corr
-    return corr[np.ix_(rows, rows)]
+    def block_is_pd(block):
+        return _is_pd(_hard_threshold_corr(corr[np.ix_(block, block)], level))
+
+    for size in _LEADING_BLOCKS:
+        if size >= rows.size:
+            break
+        if not block_is_pd(rows[:size]):
+            return False
+    return block_is_pd(rows)
 
 
 def _error_cov_detail(params: CalibrationParams, N: int, rng):
@@ -318,15 +338,15 @@ def _error_cov_detail(params: CalibrationParams, N: int, rng):
         raise DataError("N must be at least 1")
     sds = _draw_error_sds(params, N, rng)
     corr = np.eye(N)
-    draws = np.empty(0)
-    if N > 1:
-        iu = np.triu_indices(N, k=1)
-        draws = rng.normal(params.corr_mean, params.corr_sd, size=iu[0].size)
-        draws = np.clip(draws, -params.corr_cap, params.corr_cap)
-        corr[iu] = draws
-        corr[(iu[1], iu[0])] = draws
+    i, j = np.triu_indices(N, k=1)
+    draws = rng.normal(params.corr_mean, params.corr_sd, size=i.size)
+    np.clip(draws, -params.corr_cap, params.corr_cap, out=draws)
+    corr[i, j] = draws
+    corr[j, i] = draws
 
-    if _is_pd(corr):
+    # the candidates, entries that may survive a level, and their positions
+    mags = np.abs(draws, out=draws)
+    if _thresholded_is_pd(corr, np.arange(N), 0.0):
         threshold = 0.0
     else:
         # smallest hard-threshold level restoring positive definiteness,
@@ -334,23 +354,31 @@ def _error_cov_detail(params: CalibrationParams, N: int, rng):
         # The matrix at lo is never PD and the one at hi always is; when no
         # |corr| lies in (lo, mid] or in (mid, hi], the matrix at mid is the
         # one at lo or at hi, so its status is known without a factorization.
-        # Otherwise only the rows that keep an off-diagonal entry at mid are
-        # factored (see _surviving_block).
-        np.abs(draws, out=draws)
-        levels = np.sort(draws)
-        lo, hi = 0.0, float(levels[-1])
+        # Each rise of lo drops the candidates at or below it, so a midpoint
+        # scans only the entries above lo (every entry, while lo is 0).
+        lo, hi = 0.0, float(mags.max())
+        n_hi = 0  # entries above hi
         while hi - lo > 1e-6:
             mid = (lo + hi) / 2.0
-            n_lo, n_mid, n_hi = np.searchsorted(levels, (lo, mid, hi), side="right")
-            if n_mid == n_lo:
+            above = np.flatnonzero(mags > mid)
+            if above.size == mags.size:
                 lo = mid
-            elif n_hi == n_mid or _is_pd(
-                    _hard_threshold_corr(_surviving_block(corr, draws, iu, mid), mid)):
-                hi = mid
+            elif above.size == n_hi or _thresholded_is_pd(
+                    corr, _rows_of(i[above], j[above], N), mid):
+                hi, n_hi = mid, above.size
             else:
                 lo = mid
+                i, j, mags = i[above], j[above], mags[above]
         threshold = hi
-        corr = _hard_threshold_corr(corr, threshold)
+        # the thresholded matrix, scattered from the surviving entries into
+        # the memory of the raw one
+        keep = np.flatnonzero(mags > threshold)
+        i, j = i[keep], j[keep]
+        values = corr[i, j]
+        corr.fill(0.0)
+        np.fill_diagonal(corr, 1.0)
+        corr[i, j] = values
+        corr[j, i] = values
     sigma_u = corr * np.outer(sds, sds)
     return sigma_u, corr, threshold
 
@@ -488,6 +516,25 @@ def _calibration(cell: ExperimentCell) -> CalibrationParams:
     return cell.calibration or _default_calibration()
 
 
+def _coupled_rows(Sigma_u: np.ndarray) -> np.ndarray:
+    """The rows of Sigma_u that keep a nonzero off-diagonal entry."""
+    return np.flatnonzero(np.count_nonzero(Sigma_u, axis=1) > (np.diagonal(Sigma_u) != 0))
+
+
+def _correlated_errors(Z: np.ndarray, Sigma_u: np.ndarray) -> np.ndarray:
+    """Z chol(Sigma_u)', written over Z.
+
+    Sigma_u is diagonal off its coupled rows b, so its Cholesky factor is
+    the sds there and the factor of the (b, b) block on b: the other
+    columns of Z are scaled, and only the columns b take a product.
+    """
+    b = _coupled_rows(Sigma_u)
+    Zb = Z[:, b]
+    Z *= np.sqrt(np.diagonal(Sigma_u))
+    Z[:, b] = Zb @ np.linalg.cholesky(Sigma_u[np.ix_(b, b)]).T
+    return Z
+
+
 def _generate_markets(params: CalibrationParams, N: int, T: int, base_seed: int, reps):
     """Instance, returns panel and factor panel of each (N, T, rep) market.
 
@@ -505,7 +552,7 @@ def _generate_markets(params: CalibrationParams, N: int, T: int, base_seed: int,
     dates = tuple(f"t{t:06d}" for t in range(T))
     assets = tuple(f"a{i:04d}" for i in range(N))
     for instance, F, rng in zip(instances, factors, rngs):
-        U = rng.standard_normal((T, N)) @ np.linalg.cholesky(instance.Sigma_u).T
+        U = _correlated_errors(rng.standard_normal((T, N)), instance.Sigma_u)
         market = (instance, ReturnsPanel(dates, assets, F @ instance.B.T + U),
                   FactorPanel(dates, ("f1", "f2", "f3"), F))
         # the frame stays suspended while the caller uses the market: drop U
@@ -538,6 +585,13 @@ class _Market:
             simulated = _generate_market(_calibration(cell), cell.N, cell.T, base_seed, rep)
         self.instance, self.panel, self.fpanel = simulated
         self._estimates = {}
+        # Sigma_u split at its coupled rows b, for true_variances
+        Sigma_u = self.instance.Sigma_u
+        self._cov_f = _calibration(cell).cov_f
+        self._coupled = _coupled_rows(Sigma_u)
+        self._coupled_block = Sigma_u[np.ix_(self._coupled, self._coupled)]
+        self._uncoupled_var = np.diagonal(Sigma_u).copy()
+        self._uncoupled_var[self._coupled] = 0.0
 
     def estimate(self, spec: EstimatorSpec) -> tuple:
         """(fitted estimator, max |Sigma_hat - Sigma|) of spec on this market.
@@ -550,10 +604,18 @@ class _Market:
             self._estimates[spec] = (fitted, max_err)
         return self._estimates[spec]
 
+    def true_variances(self, W: np.ndarray) -> np.ndarray:
+        """w'Sigma_true w for every column w of W.
 
-def _quad_forms(matrix: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """w'Mw for every column of W at once."""
-    return np.einsum("ip,ip->p", W, matrix @ W)
+        Sigma_true = B cov_f B' + Sigma_u, and Sigma_u is diagonal off its
+        coupled rows b, so each variance is (B'w)'cov_f(B'w) plus
+        Sigma_u[i, i] w_i^2 summed off b plus w_b'Sigma_u[b, b]w_b: O(N)
+        work per portfolio on top of the block, not an N x N product.
+        """
+        BW = self.instance.B.T @ W
+        return (np.einsum("kp,kp->p", BW, self._cov_f @ BW)
+                + self._uncoupled_var @ (W * W)
+                + _quad_forms(self._coupled_block, W[self._coupled]))
 
 
 def run_replication(cell: ExperimentCell, base_seed: int, rep: int,
@@ -576,16 +638,16 @@ def run_replication(cell: ExperimentCell, base_seed: int, rep: int,
     W = sample_random_weights(N, cell.c, rng_pf, P)
     gross_sq = np.abs(W).sum(axis=0) ** 2
 
-    true_var = _quad_forms(market.instance.Sigma_true, W)
+    true_var = market.true_variances(W)
     z = hclub_z(cell.tau, paper_z=cell.paper_z)
 
     per_estimator = {}
     for spec in cell._specs:
         fitted, max_err = market.estimate(spec)
-        vhat = _quad_forms(fitted.estimate.matrix, W)
+        vhat, series, centers = fitted.variances_and_series(W)
         delta = np.abs(vhat - true_var)
         xi = gross_sq * max_err
-        _, sigma2, clamped = long_run_variances(*fitted.series(W), cell.L)
+        _, sigma2, clamped = long_run_variances(series, centers, cell.L)
 
         u_var = z * np.sqrt(sigma2 / T)
         covered = delta <= u_var

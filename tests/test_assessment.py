@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import portrisk as pr
-from portrisk.assessment import systematic_return_series, total_return_series
+from portrisk.assessment import _quad_forms, systematic_return_series, total_return_series
 import oracles
 from helpers import calibrated_market, make_factor_panel, make_panel
 
@@ -460,6 +460,11 @@ def test_estimator_spec_equals_the_public_functions(name, variant):
     W[:, 0] = 1.0 / 60
     L = 6
     gammas, sigma2, clamped = pr.long_run_variances(*fitted.series(W), L)
+    # the sample variances are the series centers, the others quadratic forms
+    variances, series, centers = fitted.variances_and_series(W)
+    assert series.tobytes() == fitted.series(W)[0].tobytes()
+    assert centers.tobytes() == fitted.series(W)[1].tobytes()
+    np.testing.assert_allclose(variances, _quad_forms(est.matrix, W), rtol=1e-12, atol=0)
     for j in range(W.shape[1]):
         want = autocov(W[:, j].copy(), L)
         one = fitted.autocov(W[:, j].copy(), L)

@@ -1,6 +1,7 @@
 """Rolling-window study: window arithmetic, records, aggregates, skips."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,24 @@ def test_singular_windows_are_skipped_with_warnings():
     assert skip.strategy == "minvar_c1.5" and skip.estimator == "sample"
     assert "positive definite" in skip.reason
     assert all(a.strategy == "equal" for a in report.aggregates)
+
+
+def test_skipped_cases_are_summarized_in_one_warning():
+    # 100 assets over 60-period windows: every sample min-variance solve
+    # fails.  The study used to warn once per skipped case
+    returns, factors = _market(100, 60 + 3 * 21, 241)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = pr.run_empirical_study(returns, factors, CONFIG)
+    assert len(caught) == 1 and caught[0].category is RuntimeWarning
+    assert caught[0].filename == __file__
+    # 3 windows x 2 min-variance strategies for the sample estimator
+    assert [(s.index, s.strategy, s.estimator) for s in report.skipped] == [
+        (r, strategy, "sample") for r in range(3) for strategy in ("minvar_c1", "minvar_c1.6")]
+    assert str(caught[0].message) == (
+        "skipped 6 of 27 (window, strategy, estimator) cases: "
+        "3 minvar_c1/sample NumericalError, 3 minvar_c1.6/sample NumericalError; "
+        f"the first, window 0 minvar_c1/sample: {report.skipped[0].reason}")
 
 
 def test_poet_reselects_factor_count_when_unpinned():

@@ -11,11 +11,14 @@ import pytest
 
 import portrisk as pr
 import portrisk.simulation as sim
+from portrisk.assessment import _quad_forms
 from portrisk.simulation import (
     default_workers,
     stationary_mean,
     _draw_error_sds,
     _block_size,
+    _correlated_errors,
+    _coupled_rows,
     _error_cov_detail,
     _generate_market,
     _generate_markets,
@@ -254,37 +257,46 @@ def test_error_cov_search_equals_plain_bisection(N):
 
 
 def test_error_cov_block_decisions_equal_full_factorizations(monkeypatch):
-    # every factorized midpoint decides on the block of the rows that keep
-    # an entry (or on the full matrix past half of the rows); the full
-    # matrix thresholded at the same level must get the same decision
-    calls = []
-    real_block, real_is_pd = sim._surviving_block, sim._is_pd
+    # every PD decision factors leading blocks of the rows under test at
+    # growing sizes, stops at the first that fails, and otherwise factors
+    # all of those rows; the full matrix thresholded at the same level must
+    # get the same decision, and every path must run
+    decisions = []
+    real_decide, real_is_pd = sim._thresholded_is_pd, sim._is_pd
 
-    def block(corr, magnitudes, iu, level):
-        out = real_block(corr, magnitudes, iu, level)
-        calls.append([level, out is corr, None])
-        return out
+    def decide(corr, rows, level):
+        decisions.append([level, rows.size, []])
+        result = real_decide(corr, rows, level)
+        decisions[-1].append(result)
+        return result
 
     def is_pd(matrix):
         result = real_is_pd(matrix)
-        if calls and calls[-1][2] is None:
-            calls[-1][2] = result
+        decisions[-1][2].append((matrix.shape[0], result))
         return result
 
-    monkeypatch.setattr(sim, "_surviving_block", block)
+    monkeypatch.setattr(sim, "_thresholded_is_pd", decide)
     monkeypatch.setattr(sim, "_is_pd", is_pd)
     params = pr.default_calibration()
-    mismatches, paths = 0, {True: 0, False: 0}
+    mismatches = 0
+    paths = dict.fromkeys(("block fails", "block passes", "all fails", "all passes"), 0)
     for N in (20, 100, 300, 600):
         for seed in range(3):
-            calls.clear()
+            decisions.clear()
             _error_cov_detail(params, N, pr.derive_rng(seed, "decide", N))
             _, raw = _raw_error_corr(params, N, pr.derive_rng(seed, "decide", N))
-            for level, full, decided in calls:
-                paths[full] += 1
+            for level, n_rows, blocks, decided in decisions:
                 mismatches += decided != real_is_pd(_hard_threshold_corr(raw, level))
+                sizes = [size for size, _ in blocks]
+                leading = [size for size in sim._LEADING_BLOCKS if size < n_rows]
+                assert sizes == (leading + [n_rows])[:len(sizes)]
+                # only the last block factored may fail, and it decides
+                assert all(ok for _, ok in blocks[:-1]) and blocks[-1][1] == decided
+                for size, ok in blocks:
+                    whole = "all" if size == n_rows else "block"
+                    paths[f"{whole} {'passes' if ok else 'fails'}"] += 1
     assert mismatches == 0
-    assert paths[False] > 0 and paths[True] > 0
+    assert min(paths.values()) > 0, paths
 
 
 def test_error_cov_keeps_every_entry_when_pd_at_level_zero():
@@ -513,6 +525,49 @@ def test_generate_market_is_deterministic():
         assert np.array_equal(a, b)
     for a, b in zip(first[1:], again[1:]):
         assert np.array_equal(a.values, b.values) and a.dates == b.dates
+
+
+# (calibration changes, N, seed) of a dense Sigma_u (threshold 0), a block
+# one and a diagonal one (the search ends at the cap)
+ERROR_STRUCTURES = {
+    "dense": (dict(corr_mean=0.0, corr_sd=0.01), 20, 181),
+    "block": ({}, 100, 55),
+    "diagonal": (dict(corr_mean=0.0, corr_sd=10.0), 50, 183),
+}
+
+
+@pytest.mark.parametrize("structure", ERROR_STRUCTURES)
+def test_block_error_product_and_true_variance_equal_the_dense_formulas(structure):
+    changes, N, seed = ERROR_STRUCTURES[structure]
+    params = dataclasses.replace(pr.default_calibration(), **changes)
+    cell = pr.ExperimentCell(N=N, T=60, c=1.6, portfolios_per_rep=40,
+                             estimators=("sample",), calibration=params)
+    market = _Market(cell, seed, 0)
+    Sigma_u = market.instance.Sigma_u
+    # replay the market's model stream: loadings, error covariance, factor
+    # innovations, errors
+    rng = pr.derive_rng(seed, "model", N, 60, 0)
+    pr.generate_loadings(params, N, rng)
+    sigma_u, _, threshold = _error_cov_detail(params, N, rng)
+    F = pr.generate_var1_factors(params, 60, rng)
+    Z = rng.standard_normal((60, N))
+    assert np.array_equal(sigma_u, Sigma_u)
+    coupled = _coupled_rows(Sigma_u)
+    if structure == "dense":
+        assert threshold == 0.0 and coupled.size == N
+    elif structure == "block":
+        assert 0 < coupled.size < N
+    else:
+        assert threshold == params.corr_cap and coupled.size == 0
+
+    want = Z @ np.linalg.cholesky(Sigma_u).T
+    U = _correlated_errors(Z, Sigma_u)
+    np.testing.assert_allclose(U, want, rtol=1e-12, atol=0)
+    assert np.array_equal(market.panel.values, F @ market.instance.B.T + U)
+
+    W = pr.sample_random_weights(N, 1.6, pr.derive_rng(seed, "weights"), 40)
+    np.testing.assert_allclose(market.true_variances(W),
+                               _quad_forms(market.instance.Sigma_true, W), rtol=1e-12, atol=0)
 
 
 def test_cell_in_market_group_equals_cell_alone():
