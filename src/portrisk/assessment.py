@@ -25,7 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -289,22 +289,22 @@ class FittedEstimator:
         return _quad_forms(self.estimate.matrix, W), series, centers
 
 
-_DEFAULT_RULES = {"factor": "hard", "poet": "soft"}
-
-
 @dataclass(frozen=True)
 class EstimatorSpec:
     """One covariance estimator and its settings, validated and hashable.
 
-    name is sample, factor or poet.  rule and C default to hard and 0.1
-    times the number of observed factors for factor, and to soft and 0.5
-    for poet.  K is the POET factor count; K=None selects it on each panel
-    by the information criterion, over 1..k_max.  demean applies to sample
-    and poet (the factor fit always demeans), and ensure_pd re-thresholds a
-    factor or poet estimate until it is positive definite.  Settings the
-    estimator does not use are ignored; the others raise DataError here,
-    before any data is seen, when they are invalid.
+    name is sample, factor or poet.  A rule or C of None is resolved here to
+    the default in RULES or C_DEFAULTS (factor's C, per observed factor, at
+    fit time), so equal settings give equal specs.  K is the POET factor
+    count; K=None selects it on each panel by the information criterion,
+    over 1..k_max.  demean applies to sample and poet (the factor fit always
+    demeans), and ensure_pd re-thresholds a factor or poet estimate until it
+    is positive definite.  Settings the estimator does not use are ignored;
+    the others raise DataError here, before any data is seen, if invalid.
     """
+
+    RULES: ClassVar[dict] = {"factor": "hard", "poet": "soft"}
+    C_DEFAULTS: ClassVar[dict] = {"factor": 0.1, "poet": 0.5}
 
     name: str
     rule: str | None = None
@@ -319,16 +319,16 @@ class EstimatorSpec:
             raise DataError(f"unknown estimator name {self.name!r}; valid: {ESTIMATOR_NAMES}")
         if self.name == "sample":
             return
-        self._rule()  # raises DataError for an unknown rule
+        object.__setattr__(self, "rule", self.rule or self.RULES[self.name])
+        ThresholdRule(self.rule)  # raises DataError for an unknown rule
+        if self.name == "poet" and self.C is None:
+            object.__setattr__(self, "C", self.C_DEFAULTS["poet"])
         if self.C is not None and not self.C >= 0:
             raise DataError(f"{self.name} threshold constant must be nonnegative, got C={self.C}")
         if self.name == "poet" and self.K is not None and not self.K >= 1:
             raise DataError(f"poet factor count must be at least 1, got K={self.K}")
         if self.name == "poet" and self.K is None and not self.k_max >= 1:
             raise DataError(f"poet k_max must be at least 1, got k_max={self.k_max}")
-
-    def _rule(self) -> ThresholdRule:
-        return ThresholdRule(self.rule or _DEFAULT_RULES[self.name])
 
     def fit(self, returns: ReturnsPanel, factors: FactorPanel | None = None) -> FittedEstimator:
         """Build the estimate on returns; factor also needs the observed factors."""
@@ -340,8 +340,8 @@ class EstimatorSpec:
             if factors is None:
                 raise DataError("the factor estimator needs an observed-factor panel")
             fit = estimators.ols_factor_fit(returns, factors)
-            C = 0.1 * factors.K if self.C is None else self.C
-            est = estimators.factor_covariance(fit, self._rule(), C)
+            C = self.C_DEFAULTS["factor"] * factors.K if self.C is None else self.C
+            est = estimators.factor_covariance(fit, ThresholdRule(self.rule), C)
         else:
             K = self.K
             if K is None:
@@ -349,8 +349,7 @@ class EstimatorSpec:
                     returns, min(self.k_max, min(returns.N, returns.T) - 1), demean=self.demean)
                 log.info("information criterion selected K=%d", K)
             fit = estimators.pca_factor_fit(returns, K, demean=self.demean)
-            C = 0.5 if self.C is None else self.C
-            est = estimators.poet_covariance(returns, K, self._rule(), C,
+            est = estimators.poet_covariance(returns, K, ThresholdRule(self.rule), self.C,
                                              demean=self.demean, fit=fit)
         if self.ensure_pd:
             # re-thresholding only touches the sparse remainder, so the fit

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# autocov_* and ensure_positive_definite run inside EstimatorSpec now; they
-# stay bound in this module for code that wraps the module's names to
-# profile it
-from .assessment import autocov_factor, autocov_poet, autocov_sample, estimator_specs, hclub
+# autocov_* and ensure_positive_definite run inside EstimatorSpec; they stay
+# bound here for code that wraps the module's names to profile it
+from .assessment import (DEFAULT_LAGS, EstimatorSpec, autocov_factor, autocov_poet,
+                         autocov_sample, estimator_specs, hclub)
 from .errors import DataError, NumericalError, PortriskError
 from .estimators import ESTIMATOR_NAMES, ensure_positive_definite, portfolio_variance
 from .panels import FactorPanel, ReturnsPanel, align_panels
@@ -62,24 +62,23 @@ class BacktestConfig:
     """Protocol settings for the rolling study.
 
     poet_K=None re-selects the factor count per window by the information
-    criterion with the given k_max; a fixed integer pins it.  factor_C=None
-    uses 0.1 times the number of observed factors.  Construction builds
-    each estimator's EstimatorSpec, so invalid settings fail at once.
+    criterion, up to poet_k_max.  A rule or C of None is EstimatorSpec's
+    default; each EstimatorSpec is built here, so bad settings fail at once.
     """
 
     estimation_window: int = 252
     holding_window: int = 21
     exposures: tuple = (1.0, 1.6)
     estimators: tuple = ESTIMATOR_NAMES
-    L: int = 5
+    L: int = DEFAULT_LAGS
     tau: float = 0.01
     paper_z: bool = True
-    factor_rule: str = "hard"
+    factor_rule: str | None = None
     factor_C: float | None = None
-    poet_K: int | None = 3
-    poet_C: float = 0.5
-    poet_rule: str = "soft"
-    poet_k_max: int = 8
+    poet_K: int | None = EstimatorSpec.K
+    poet_C: float | None = None
+    poet_rule: str | None = None
+    poet_k_max: int = EstimatorSpec.k_max
     periods_per_year: float = 252.0
 
     def __post_init__(self):

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .assessment import EstimatorSpec, hclub
+from .assessment import DEFAULT_LAGS, EstimatorSpec, hclub
 from .backtest import BacktestConfig, run_empirical_study
 from .errors import DataError, NumericalError, UsageError
-from .estimators import ESTIMATOR_NAMES, portfolio_variance
+from .estimators import ESTIMATOR_NAMES, THRESHOLD_RULES, portfolio_variance
 from .panels import ParseConfig, load_factors_csv, load_returns_csv
 from .portfolios import Portfolio, equal_weight, sample_random_weights
 from .reporting import (
@@ -55,6 +55,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _delimiter(value: str) -> str:
+    if len(value) != 1:
+        raise argparse.ArgumentTypeError(f"expected one character, got {value!r}")
+    return value
+
+
+def _numbers(value: str) -> tuple:
+    """The numbers of a comma list."""
+    try:
+        return tuple(float(x) for x in value.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {value!r}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="portrisk", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"portrisk {__version__}")
@@ -73,21 +87,21 @@ def _build_parser() -> _Parser:
             p.add_argument("--factors", help="observed-factor panel CSV")
         p.add_argument("--percent", action="store_true",
                        help="input values are percentages; scale by 1/100")
-        p.add_argument("--delimiter", default=",")
+        p.add_argument("--delimiter", default=",", type=_delimiter)
 
     def add_estimator_flags(p):
         p.add_argument("--estimator", required=True, choices=ESTIMATOR_NAMES)
-        p.add_argument("--K", type=int, default=3,
-                       help="latent factor count for poet (default 3)")
+        p.add_argument("--K", type=int, default=EstimatorSpec.K,
+                       help="latent factor count for poet (default %(default)s)")
         p.add_argument("--auto-K", action="store_true",
                        help="pick K by the information criterion (poet only)")
-        p.add_argument("--k-max", type=int, default=8,
-                       help="upper bound for --auto-K (default 8)")
-        p.add_argument("--C", type=float, default=None,
-                       help="threshold constant (default: 0.1*K for factor, "
-                            "0.5 for poet)")
-        p.add_argument("--rule", choices=("hard", "soft", "scad"), default=None,
-                       help="threshold rule (default: hard for factor, soft for poet)")
+        p.add_argument("--k-max", type=int, default=EstimatorSpec.k_max,
+                       help="upper bound for --auto-K (default %(default)s)")
+        C, rule = EstimatorSpec.C_DEFAULTS, EstimatorSpec.RULES
+        p.add_argument("--C", type=float, default=None, help=(
+            f"threshold constant (default: {C['factor']:g}*K for factor, {C['poet']:g} for poet)"))
+        p.add_argument("--rule", choices=THRESHOLD_RULES, default=None, help=(
+            f"threshold rule (default: {rule['factor']} for factor, {rule['poet']} for poet)"))
         p.add_argument("--no-demean", action="store_true",
                        help="estimate on raw rather than demeaned returns "
                             "(sample and poet; the factor fit always demeans)")
@@ -109,7 +123,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--portfolio", help="asset,weight CSV")
     group.add_argument("--equal-weight", action="store_true")
     p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--L", type=int, default=5, help="autocovariance lag cut-off")
+    p.add_argument("--L", type=int, default=DEFAULT_LAGS, help="lag cut-off (default %(default)s)")
     p.add_argument("--paper-z", action="store_true",
                    help="use the rounded critical values 2 and 2.58")
     p.add_argument("--out", default=None, help="assessment CSV name")
@@ -133,6 +147,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--estimation-window", type=int, default=study.estimation_window)
     p.add_argument("--holding-window", type=int, default=study.holding_window)
     p.add_argument("--exposures", default=",".join(f"{c:g}" for c in study.exposures),
+                   type=_numbers,
                    help="comma list of gross bounds")
     p.add_argument("--tau", type=float, default=study.tau)
     p.add_argument("--L", type=int, default=study.L)
@@ -267,7 +282,10 @@ def _cmd_sample_portfolios(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    text = Path(args.config).read_text(encoding="utf-8")
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{args.config}: not UTF-8 text ({exc.reason})") from None
     cfg = parse_grid_config(text)
     seed = args.seed if args.seed is not None else cfg.base_seed
     config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -287,11 +305,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_empirical(args) -> int:
     estimators = tuple(x.strip() for x in args.estimators.split(",") if x.strip())
-    exposures = tuple(float(x) for x in args.exposures.split(",") if x.strip())
     config = BacktestConfig(
         estimation_window=args.estimation_window,
         holding_window=args.holding_window,
-        exposures=exposures,
+        exposures=args.exposures,
         estimators=estimators,
         L=args.L,
         tau=args.tau,

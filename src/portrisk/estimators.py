@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 ESTIMATOR_NAMES = ("sample", "factor", "poet")
+THRESHOLD_RULES = ("hard", "soft", "scad")
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class ThresholdRule:
     scad_a: float = 3.7
 
     def __post_init__(self):
-        if self.kind not in ("hard", "soft", "scad"):
+        if self.kind not in THRESHOLD_RULES:
             raise DataError(f"unknown threshold rule {self.kind!r}")
         if self.kind == "scad" and not self.scad_a > 2.0:
             raise DataError("scad_a must exceed 2")

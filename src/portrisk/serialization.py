@@ -63,10 +63,13 @@ def write_csv(path, header_lines, columns, rows):
 
 def read_csv(path, delimiter=",") -> list:
     """Parsed rows without blank rows and rows whose first cell starts
-    with '#' after whitespace."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [row for row in csv.reader(fh, delimiter=delimiter)
-                if row and not row[0].lstrip().startswith("#")]
+    with '#' after whitespace; a file that is not UTF-8 raises DataError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [row for row in csv.reader(fh, delimiter=delimiter)
+                    if row and not row[0].lstrip().startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def make_header_lines(seed=None, config_hash=None, extra=()) -> list:

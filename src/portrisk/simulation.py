@@ -56,6 +56,7 @@ import numpy as np
 # the batched ops used here; they stay bound in this module for code that
 # wraps the module's names to profile it
 from .assessment import (
+    DEFAULT_LAGS,
     EstimatorSpec,
     _quad_forms,
     autocov_factor,
@@ -468,23 +469,23 @@ def build_model_instance(params: CalibrationParams, N: int, rng) -> ModelInstanc
 class ExperimentCell:
     """One grid point of the replication protocol.
 
-    Construction builds each estimator's EstimatorSpec (factor_C=None is
-    0.1 * K), so invalid settings fail before any market is simulated.
+    Construction builds each estimator's EstimatorSpec (a rule or C of None
+    is the spec's default), so invalid settings fail before any market is simulated.
     """
 
     N: int
     T: int
     c: float
     estimators: tuple = ESTIMATOR_NAMES
-    L: int = 5
+    L: int = DEFAULT_LAGS
     tau: float = 0.05
     portfolios_per_rep: int = 200
     paper_z: bool = True
-    factor_rule: str = "hard"
-    factor_C: float | None = None  # None: 0.1 * K, the protocol's cut-off
-    poet_K: int = 3
-    poet_C: float = 0.5
-    poet_rule: str = "soft"
+    factor_rule: str | None = None
+    factor_C: float | None = None
+    poet_K: int = EstimatorSpec.K
+    poet_C: float | None = None
+    poet_rule: str | None = None
     calibration: CalibrationParams | None = None
 
     def __post_init__(self):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import portrisk as pr
 from portrisk.assessment import _quad_forms, systematic_return_series, total_return_series
+from portrisk.estimators import ESTIMATOR_NAMES
 import oracles
 from helpers import calibrated_market, make_factor_panel, make_panel
 
@@ -497,6 +498,26 @@ def test_estimator_specs_are_hashable_cache_keys():
     assert a == pr.EstimatorSpec("poet", rule="soft", C=0.5, K=3)
     assert {a: 1}[pr.EstimatorSpec("poet", rule="soft", C=0.5, K=3)] == 1
     assert a != pr.EstimatorSpec("poet", rule="soft", C=0.5, K=2)
+
+
+def test_default_settings_and_spelled_out_defaults_give_one_spec():
+    # a None rule or C used to stay None, so a spec built with the defaults
+    # spelled out was a different cache key for the same estimator
+    poet = pr.EstimatorSpec("poet", rule="soft", C=0.5)
+    assert pr.EstimatorSpec("poet") == poet
+    assert hash(pr.EstimatorSpec("poet")) == hash(poet)
+    assert pr.EstimatorSpec("factor", rule="hard") == pr.EstimatorSpec("factor")
+    assert pr.EstimatorSpec("poet", C=0.4) != poet
+    assert pr.EstimatorSpec("factor", rule="soft") != pr.EstimatorSpec("factor")
+    # factor's C scales with the observed factors, so it resolves at fit time
+    assert pr.EstimatorSpec("factor").C is None
+
+
+def test_config_dataclasses_build_the_default_specs():
+    specs = tuple(pr.EstimatorSpec(name) for name in ESTIMATOR_NAMES)
+    assert pr.ExperimentCell(N=10, T=20, c=1.0)._specs == specs
+    assert pr.BacktestConfig()._specs == tuple(
+        pr.EstimatorSpec(name, ensure_pd=True) for name in ESTIMATOR_NAMES)
 
 
 def test_public_names_resolve():

@@ -123,6 +123,80 @@ def test_unknown_flag_is_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    "estimate", "hclub", "sample-portfolios", "simulate", "empirical", "report",
+])
+def test_every_subcommand_prints_its_help(command, capsys):
+    # argparse expands %(default)s only when it prints help, so a bad help
+    # string would otherwise fail first in front of a user
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: portrisk {command}")
+
+
+def test_hclub_help_shows_the_estimator_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["hclub", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    for text in ("--K K latent factor count for poet (default 3)",
+                 "upper bound for --auto-K (default 8)",
+                 "lag cut-off (default 5)",
+                 "(default: 0.1*K for factor, 0.5 for poet)",
+                 "(default: hard for factor, soft for poet)",
+                 "{hard,soft,scad}"):
+        assert text in out
+
+
+def _latin1(path, text):
+    path.write_bytes(text.encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("which", ["returns", "portfolio"])
+def test_non_utf8_input_file_is_data_error(panel_files, tmp_path, capsys, which):
+    # both used to end in a UnicodeDecodeError traceback and exit 1
+    returns, _, rpath, _ = panel_files
+    if which == "returns":
+        rpath = _latin1(tmp_path / "latin.csv", "date,café\n2019-01-01,0.5\n2019-01-02,0.1\n")
+        flags = ["estimate", "--returns", rpath, "--estimator", "sample"]
+    else:
+        book = "asset,weight\n" + "".join(f"{a}é,0.125\n" for a in returns.assets)
+        flags = ["hclub", "--returns", rpath, "--estimator", "sample",
+                 "--portfolio", _latin1(tmp_path / "book.csv", book)]
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "not UTF-8" in err
+    assert str(tmp_path) in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_non_utf8_grid_config_is_data_error(tmp_path, capsys):
+    cfg = _latin1(tmp_path / "grid.cfg", "# calibré\n" + SIM_CONFIG)
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), "simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {cfg}: not UTF-8")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("empirical", "--exposures", "1,abc"),
+    ("empirical", "--delimiter", ";;"),
+    ("estimate", "--estimator", "sample", "--delimiter", ";;"),
+    ("hclub", "--estimator", "sample", "--equal-weight", "--delimiter", ";;"),
+])
+def test_malformed_flag_value_is_usage_error(panel_files, tmp_path, capsys, flags):
+    # each used to print a ValueError or TypeError traceback
+    _, _, rpath, _ = panel_files
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), flags[0], "--returns", rpath, *flags[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sample_portfolios_seeded(tmp_path, capsys):
     args = ["sample-portfolios", "--n-assets", "5", "--exposure", "1.6",
             "--count", "3"]
