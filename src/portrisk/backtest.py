@@ -28,6 +28,7 @@ import numpy as np
 # bound here for code that wraps the module's names to profile it
 from .assessment import (DEFAULT_LAGS, EstimatorSpec, autocov_factor, autocov_poet,
                          autocov_sample, estimator_specs, hclub)
+from .blas import single_thread
 from .errors import DataError, NumericalError, PortriskError
 from .estimators import ESTIMATOR_NAMES, ensure_positive_definite, portfolio_variance
 from .panels import FactorPanel, ReturnsPanel, align_panels
@@ -46,10 +47,16 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
+def _check_periods_per_year(periods_per_year: float) -> None:
+    """Reject a periods_per_year that is not a finite positive number."""
+    if not (math.isfinite(periods_per_year) and periods_per_year > 0):
+        raise DataError(f"periods_per_year must be a finite positive number, "
+                        f"got {periods_per_year}")
+
+
 def annualize_risk(risk: float, periods_per_year: float) -> float:
     """Scale a per-period risk (standard deviation) to a yearly horizon."""
-    if periods_per_year <= 0:
-        raise DataError("periods_per_year must be positive")
+    _check_periods_per_year(periods_per_year)
     return risk * math.sqrt(periods_per_year)
 
 
@@ -88,6 +95,7 @@ class BacktestConfig:
             raise DataError("holding window must cover at least 1 period")
         if not 0 < self.tau < 1:
             raise DataError(f"tau must lie in (0, 1), got {self.tau}")
+        _check_periods_per_year(self.periods_per_year)
         for c in self.exposures:
             _exposure_value(c)
         labels = [_minvar_label(c) for c in self.exposures]
@@ -216,6 +224,8 @@ def run_empirical_study(
     (singular matrix, failed solve) is recorded in `skipped` with the
     reason instead of aborting the study; one RuntimeWarning per call
     counts the skipped cases by strategy, estimator and error type.
+    The windows run with numpy's BLAS on one thread (see portrisk.blas);
+    the caller's BLAS thread count is restored on return.
     """
     config = config or BacktestConfig()
     if "factor" in config.estimators:
@@ -234,33 +244,34 @@ def run_empirical_study(
     records = []
     skipped = []
     skips = Counter()  # skipped cases per (strategy/estimator, error type)
-    for r in range(n_reb):
-        lo, mid, hi = r * H, r * H + W, r * H + W + H
-        window = returns.slice_rows(lo, mid)
-        factor_window = factors.slice_rows(lo, mid) if factors is not None else None
-        hold = returns.values[mid:hi]
-        hold_block = hold.T @ hold / hold.shape[0]
-        hold_start = returns.dates[mid]
+    with single_thread():
+        for r in range(n_reb):
+            lo, mid, hi = r * H, r * H + W, r * H + W + H
+            window = returns.slice_rows(lo, mid)
+            factor_window = factors.slice_rows(lo, mid) if factors is not None else None
+            hold = returns.values[mid:hi]
+            hold_block = hold.T @ hold / hold.shape[0]
+            hold_start = returns.dates[mid]
 
-        for spec in config._specs:
-            try:
-                fitted = spec.fit(window, factor_window)
-            except PortriskError as exc:
-                for strategy, _ in strategies:
-                    skipped.append(SkippedCase(r, strategy, spec.name, str(exc)))
-                    skips[f"{strategy}/{spec.name} {type(exc).__name__}"] += 1
-                continue
-            for strategy, c in strategies:
+            for spec in config._specs:
                 try:
-                    if c is None:
-                        pf = equal_weight(returns.N)
-                    else:
-                        pf = min_variance(fitted.estimate, c)
-                    records.append(_assess(r, hold_start, strategy, spec.name, fitted,
-                                           pf, window, hold_block, config))
+                    fitted = spec.fit(window, factor_window)
                 except PortriskError as exc:
-                    skipped.append(SkippedCase(r, strategy, spec.name, str(exc)))
-                    skips[f"{strategy}/{spec.name} {type(exc).__name__}"] += 1
+                    for strategy, _ in strategies:
+                        skipped.append(SkippedCase(r, strategy, spec.name, str(exc)))
+                        skips[f"{strategy}/{spec.name} {type(exc).__name__}"] += 1
+                    continue
+                for strategy, c in strategies:
+                    try:
+                        if c is None:
+                            pf = equal_weight(returns.N)
+                        else:
+                            pf = min_variance(fitted.estimate, c)
+                        records.append(_assess(r, hold_start, strategy, spec.name, fitted,
+                                               pf, window, hold_block, config))
+                    except PortriskError as exc:
+                        skipped.append(SkippedCase(r, strategy, spec.name, str(exc)))
+                        skips[f"{strategy}/{spec.name} {type(exc).__name__}"] += 1
     if skipped:
         first = skipped[0]
         counts = ", ".join(f"{n} {reason}" for reason, n in skips.items())

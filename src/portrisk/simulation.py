@@ -66,6 +66,8 @@ from .assessment import (
     hclub_z,
     long_run_variances,
 )
+from .backtest import _check_periods_per_year
+from .blas import pin_single_thread, single_thread
 from .errors import DataError, NumericalError
 from .estimators import ESTIMATOR_NAMES
 from .panels import FactorPanel, ReturnsPanel
@@ -811,6 +813,9 @@ def run_experiment(grid, replications: int, workers: int | None = None,
     of first appearance in the grid; a task is one market and a block of
     consecutive replications of it, and simulates each of them once for
     all of the market's cells.  Each finished task logs one INFO line.
+    Every task runs with numpy's BLAS on one thread, serially and in the
+    pool workers alike (see portrisk.blas); the caller's BLAS thread
+    count is restored on return.
     """
     grid = tuple(grid)
     if not grid:
@@ -843,12 +848,14 @@ def run_experiment(grid, replications: int, workers: int | None = None,
             yield batch
 
     fn = partial(_run_task, grid, markets, base_seed)
-    if workers == 1 or len(tasks) == 1:
-        results = list(logged(map(fn, tasks)))
-    else:
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(logged(pool.map(fn, tasks, chunksize=chunk)))
+    with single_thread():
+        if workers == 1 or len(tasks) == 1:
+            results = list(logged(map(fn, tasks)))
+        else:
+            chunk = max(1, len(tasks) // (workers * 4))
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=pin_single_thread) as pool:
+                results = list(logged(pool.map(fn, tasks, chunksize=chunk)))
 
     by_cell: dict = {ci: {} for ci in range(len(grid))}
     for batch in results:
@@ -871,6 +878,9 @@ class GridConfig:
     replications: int = 100
     base_seed: int = 0
     periods_per_year: float = 252.0
+
+    def __post_init__(self):
+        _check_periods_per_year(self.periods_per_year)
 
 
 def _parse_bool(raw: str, key: str) -> bool:

@@ -37,8 +37,9 @@ def small_study():
 def test_annualize_risk():
     assert pr.annualize_risk(1.0, 252.0) == math.sqrt(252.0)
     assert pr.annualize_risk(0.5, 4.0) == 1.0
-    with pytest.raises(pr.DataError):
-        pr.annualize_risk(1.0, 0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(pr.DataError, match="finite positive"):
+            pr.annualize_risk(1.0, bad)
 
 
 def test_backtest_config_validation():
@@ -56,6 +57,9 @@ def test_backtest_config_validation():
         pr.BacktestConfig(exposures=(1.0, 0.5))
     with pytest.raises(pr.DataError):
         pr.BacktestConfig(estimation_window=60, L=60)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(pr.DataError, match="periods_per_year"):
+            pr.BacktestConfig(periods_per_year=bad)
 
 
 def test_backtest_config_rejects_repeated_estimator():

@@ -227,6 +227,26 @@ replications = 2
 """
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_bad_periods_per_year_exits_2_before_any_work(panel_files, tmp_path, capsys, value):
+    # both commands used to run every replication or window first, and
+    # simulate wrote its cells table before it failed
+    _, _, rpath, fpath = panel_files
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(SIM_CONFIG + f"periods_per_year = {value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), "--threads", "1",
+                 "simulate", "--config", str(cfg)]) == 2
+    assert main(["--output-dir", str(out), "empirical", "--returns", rpath,
+                 "--factors", fpath, "--estimation-window", "60",
+                 "--periods-per-year", value]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("data error: periods_per_year must be a finite positive")
+               for line in err)
+    assert not out.exists()
+
+
 def test_simulate_is_reproducible_and_reportable(tmp_path, capsys):
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(SIM_CONFIG)

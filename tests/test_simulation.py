@@ -674,6 +674,16 @@ def test_run_experiment_worker_count_invariance():
     assert one.replications == 6 and one.base_seed == 11
 
 
+def test_run_experiment_worker_count_invariance_where_blas_threads():
+    # at N=300 OpenBLAS runs its products on several threads unless told
+    # otherwise; serial and pool tasks must run the same kernels
+    grid = [pr.ExperimentCell(N=300, T=300, c=1.0, portfolios_per_rep=10)]
+    one = pr.run_experiment(grid, 2, workers=1, base_seed=5)
+    two = pr.run_experiment(grid, 2, workers=2, base_seed=5)
+    assert one.cells == two.cells
+    assert {agg.estimator for agg in one.cells} == {"sample", "factor", "poet"}
+
+
 def test_block_size_follows_the_memory_budget():
     # covariances (16 N^2 bytes) or the factor chain (48 (500 + T) bytes),
     # whichever is larger, per replication of a 1 MiB block
@@ -845,6 +855,13 @@ def test_parse_grid_config_errors_name_the_key_and_line():
         pr.parse_grid_config("Ns = 5\nTs = 20\ncs = 1\nestimators = ledoit\n")
     with pytest.raises(pr.DataError, match="empty list"):
         pr.parse_grid_config("Ns =\nTs = 20\ncs = 1\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_parse_grid_config_rejects_a_bad_periods_per_year(value):
+    # used to pass until the figures were annualized, after the whole run
+    with pytest.raises(pr.DataError, match="periods_per_year must be a finite positive"):
+        pr.parse_grid_config(f"Ns = 5\nTs = 20\ncs = 1\nperiods_per_year = {value}\n")
 
 
 @pytest.mark.parametrize("key, line", [
