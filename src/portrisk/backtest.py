@@ -32,7 +32,7 @@ from .blas import single_thread
 from .errors import DataError, NumericalError, PortriskError
 from .estimators import ESTIMATOR_NAMES, ensure_positive_definite, portfolio_variance
 from .panels import FactorPanel, ReturnsPanel, align_panels
-from .portfolios import _exposure_value, equal_weight, min_variance
+from .portfolios import _check_periods_per_year, _exposure_value, equal_weight, min_variance
 
 __all__ = [
     "BacktestConfig",
@@ -45,13 +45,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-
-def _check_periods_per_year(periods_per_year: float) -> None:
-    """Reject a periods_per_year that is not a finite positive number."""
-    if not (math.isfinite(periods_per_year) and periods_per_year > 0):
-        raise DataError(f"periods_per_year must be a finite positive number, "
-                        f"got {periods_per_year}")
 
 
 def annualize_risk(risk: float, periods_per_year: float) -> float:

@@ -11,7 +11,6 @@ matrices, non-convergence).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
 import sys
 from pathlib import Path
@@ -21,6 +20,7 @@ import numpy as np
 from ._version import __version__
 from .assessment import DEFAULT_LAGS, EstimatorSpec, hclub
 from .backtest import BacktestConfig, run_empirical_study
+from .blas import single_thread
 from .errors import DataError, NumericalError, UsageError
 from .estimators import ESTIMATOR_NAMES, THRESHOLD_RULES, portfolio_variance
 from .panels import ParseConfig, load_factors_csv, load_returns_csv
@@ -34,7 +34,6 @@ from .reporting import (
     experiment_figures_csv,
     experiment_markdown,
 )
-from .rng import derive_rng
 from .serialization import (
     make_header_lines,
     read_csv,
@@ -44,7 +43,19 @@ from .serialization import (
     write_covariance_csv,
     write_csv,
 )
-from .simulation import parse_grid_config, run_experiment
+
+# the simulate engine, and through it the process pool, loads on the
+# first use of one of its names; they resolve as attributes of this module
+_ENGINE_NAMES = ("parse_grid_config", "run_experiment")
+
+
+def __getattr__(name):
+    if name not in _ENGINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulation
+
+    value = globals()[name] = getattr(simulation, name)
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,6 +207,7 @@ def _fit(args):
     return returns, spec.fit(returns, factors)
 
 
+@single_thread()
 def _cmd_estimate(args) -> int:
     returns, fitted = _fit(args)
     est = fitted.estimate
@@ -225,6 +237,7 @@ def _portfolio_for(args, returns) -> Portfolio:
     return Portfolio(weights)
 
 
+@single_thread()
 def _cmd_hclub(args) -> int:
     if not 0 < args.tau < 1:
         raise UsageError(f"--tau must lie in (0, 1), got {args.tau}")
@@ -270,6 +283,8 @@ def _cmd_hclub(args) -> int:
 def _cmd_sample_portfolios(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be at least 1")
+    from .rng import derive_rng
+
     rng = derive_rng(_seed(args), "cli-portfolios", args.n_assets,
                      float(args.exposure))
     # one column per portfolio, drawn in full before the file is opened
@@ -287,11 +302,15 @@ def _cmd_simulate(args) -> int:
         text = Path(args.config).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{args.config}: not UTF-8 text ({exc.reason})") from None
-    cfg = parse_grid_config(text)
+    import hashlib
+
+    # looked up on the module, so a wrapper installed there is the one called
+    engine = sys.modules[__name__]
+    cfg = engine.parse_grid_config(text)
     seed = args.seed if args.seed is not None else cfg.base_seed
     config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
-    report = run_experiment(cfg.cells, cfg.replications, workers=args.threads,
-                            base_seed=seed)
+    report = engine.run_experiment(cfg.cells, cfg.replications, workers=args.threads,
+                                   base_seed=seed)
     out = _outdir(args)
     header = make_header_lines(seed=seed, config_hash=config_hash)
     cells_path = out / f"{args.out_prefix}_cells.csv"

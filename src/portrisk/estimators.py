@@ -19,7 +19,7 @@ can work with raw second moments.  Thresholding never touches diagonals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -100,7 +100,10 @@ class CovarianceEstimate:
     tuning records the threshold constant C, the rule kind, and the factor
     count K where applicable.  min_eigenvalue is computed lazily and
     cached; construction symmetrizes the matrix after checking that any
-    asymmetry is at the floating-point noise level.
+    asymmetry is at the floating-point noise level.  sample_covariance and
+    poet_covariance pass _symmetric=True and skip both: their matrices are
+    X'X products, which numpy computes exactly symmetric (syrk), and
+    entrywise maps of them, so (m + m')/2 would return m bit for bit.
     """
 
     matrix: np.ndarray
@@ -108,17 +111,19 @@ class CovarianceEstimate:
     tuning: dict = field(default_factory=dict)
     _eig_range: tuple | None = field(default=None, repr=False, compare=False)
     _rebuild: Callable | None = field(default=None, repr=False, compare=False)
+    _symmetric: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _symmetric):
         if self.kind not in ESTIMATOR_NAMES:
             raise DataError(f"estimator kind must be one of {ESTIMATOR_NAMES}, got {self.kind!r}")
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DataError(f"covariance matrix must be square, got shape {m.shape}")
-        scale = np.max(np.abs(m)) if m.size else 0.0
-        if scale > 0 and np.max(np.abs(m - m.T)) > 1e-10 * scale:
-            raise NumericalError("matrix is not symmetric within tolerance")
-        m = (m + m.T) / 2.0
+        if not _symmetric:
+            scale = np.max(np.abs(m)) if m.size else 0.0
+            if scale > 0 and np.max(np.abs(m - m.T)) > 1e-10 * scale:
+                raise NumericalError("matrix is not symmetric within tolerance")
+            m = (m + m.T) / 2.0
         if np.any(np.diag(m) <= 0):
             i = int(np.argmin(np.diag(m)))
             raise NumericalError(f"non-positive variance on the diagonal (index {i})")
@@ -185,7 +190,7 @@ def sample_covariance(panel: ReturnsPanel, demean_flag: bool = True) -> Covarian
     """S = T^-1 X'X on the panel's (optionally demeaned) rows."""
     X = panel.demeaned_values if demean_flag else panel.values
     S = X.T @ X / panel.T
-    return CovarianceEstimate(S, "sample", {"demeaned": demean_flag})
+    return CovarianceEstimate(S, "sample", {"demeaned": demean_flag}, _symmetric=True)
 
 
 def ols_factor_fit(returns: ReturnsPanel, factors: FactorPanel) -> FactorModelFit:
@@ -341,7 +346,8 @@ def poet_covariance(
     d = np.clip(np.diag(omega), 0.0, None)
     tau = C * np.sqrt(np.outer(d, d)) * (math.sqrt(math.log(N) / T) + 1.0 / math.sqrt(N))
     omega_t = _threshold_offdiag(omega, tau, rule)
-    est = CovarianceEstimate(lowrank + omega_t, "poet", {"C": C, "rule": rule.kind, "K": K})
+    est = CovarianceEstimate(lowrank + omega_t, "poet", {"C": C, "rule": rule.kind, "K": K},
+                             _symmetric=True)
     est._rebuild = lambda C2: poet_covariance(returns, K, rule, C2, demean=demean, fit=fit)
     return est
 

@@ -62,6 +62,13 @@ def _exposure_value(c) -> float:
     return value
 
 
+def _check_periods_per_year(periods_per_year: float) -> None:
+    """Reject a periods_per_year that is not a finite positive number."""
+    if not (math.isfinite(periods_per_year) and periods_per_year > 0):
+        raise DataError(f"periods_per_year must be a finite positive number, "
+                        f"got {periods_per_year}")
+
+
 def sample_random_weights(N: int, c, rng: np.random.Generator, P: int = 1) -> np.ndarray:
     """Draw P representative weight vectors with sum 1 and gross exposure c.
 

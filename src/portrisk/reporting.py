@@ -8,9 +8,13 @@ units of the underlying data.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .backtest import BacktestReport, annualize_risk
 from .serialization import write_csv
-from .simulation import ExperimentReport
+
+if TYPE_CHECKING:
+    from .simulation import ExperimentReport
 
 __all__ = [
     "experiment_cells_csv",

@@ -46,7 +46,7 @@ import hashlib
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -66,12 +66,16 @@ from .assessment import (
     hclub_z,
     long_run_variances,
 )
-from .backtest import _check_periods_per_year
 from .blas import pin_single_thread, single_thread
 from .errors import DataError, NumericalError
 from .estimators import ESTIMATOR_NAMES
 from .panels import FactorPanel, ReturnsPanel
-from .portfolios import _exposure_value, sample_random_portfolio, sample_random_weights
+from .portfolios import (
+    _check_periods_per_year,
+    _exposure_value,
+    sample_random_portfolio,
+    sample_random_weights,
+)
 from .rng import derive_rng
 
 __all__ = [
@@ -772,6 +776,9 @@ def default_workers() -> int:
     return min(8, cpus)
 
 
+# the per-call warning of long_run_variances, which tasks silence
+_CLAMPED_WARNING = "truncated long-run variance was negative"
+
 # bytes a task may hold in each kind of per-replication array: every
 # replication of a block keeps its Sigma_u and Sigma_true (16 N^2 bytes)
 # until its turn, and its factor chain (under 48 (VAR_BURN_IN + T) bytes)
@@ -794,11 +801,15 @@ def _run_task(grid: tuple, markets: tuple, base_seed: int, task: tuple) -> list:
     lead = grid[cells[0]]
     simulated = _generate_markets(_calibration(lead), lead.N, lead.T, base_seed, reps)
     out = []
-    for rep, data in zip(reps, simulated):
-        market = _Market(lead, base_seed, rep, data)
-        out.extend((ci, rep, run_replication(grid[ci], base_seed, rep, market)) for ci in cells)
-        # free this market and its estimates before the next one is drawn
-        del market, data
+    with warnings.catch_warnings():
+        # run_experiment reports the clamped total of the whole run once
+        warnings.filterwarnings("ignore", _CLAMPED_WARNING, RuntimeWarning)
+        for rep, data in zip(reps, simulated):
+            market = _Market(lead, base_seed, rep, data)
+            out.extend((ci, rep, run_replication(grid[ci], base_seed, rep, market))
+                       for ci in cells)
+            # free this market and its estimates before the next one is drawn
+            del market, data
     return out
 
 
@@ -812,10 +823,11 @@ def run_experiment(grid, replications: int, workers: int | None = None,
     order.  Cells sharing (calibration, N, T) form one market, in order
     of first appearance in the grid; a task is one market and a block of
     consecutive replications of it, and simulates each of them once for
-    all of the market's cells.  Each finished task logs one INFO line.
-    Every task runs with numpy's BLAS on one thread, serially and in the
-    pool workers alike (see portrisk.blas); the caller's BLAS thread
-    count is restored on return.
+    all of the market's cells.  Each finished task logs one INFO line;
+    long-run variances clamped at zero anywhere in the run raise one
+    RuntimeWarning with their total.  Every task runs with numpy's BLAS
+    on one thread, serially and in the pool workers alike (see
+    portrisk.blas); the caller's BLAS thread count is restored on return.
     """
     grid = tuple(grid)
     if not grid:
@@ -852,6 +864,8 @@ def run_experiment(grid, replications: int, workers: int | None = None,
         if workers == 1 or len(tasks) == 1:
             results = list(logged(map(fn, tasks)))
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             chunk = max(1, len(tasks) // (workers * 4))
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=pin_single_thread) as pool:
@@ -866,6 +880,11 @@ def run_experiment(grid, replications: int, workers: int | None = None,
     for ci, cell in enumerate(grid):
         ordered = [by_cell[ci][rep] for rep in range(replications)]
         aggregates.extend(_aggregate(cell, ordered))
+    clamped = sum(agg.clamped_count for agg in aggregates)
+    if clamped:
+        warnings.warn(f"{_CLAMPED_WARNING} for {clamped} of "
+                      f"{sum(agg.n_records for agg in aggregates)} portfolio assessments; "
+                      "clamped to 0", RuntimeWarning, stacklevel=2)
     return ExperimentReport(cells=tuple(aggregates), replications=replications,
                             base_seed=int(base_seed))
 

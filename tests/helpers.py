@@ -3,6 +3,7 @@
 import numpy as np
 
 import portrisk as pr
+from portrisk import serialization as ser
 
 
 def date_labels(T):
@@ -44,6 +45,13 @@ def calibrated_market(N, T, seed, params=None):
     panel = pr.ReturnsPanel(dates, asset_labels(N), Y)
     fpanel = pr.FactorPanel(dates, ("f1", "f2", "f3"), F)
     return inst, panel, fpanel
+
+
+def write_panel_files(directory, returns, factors):
+    """returns.csv and factors.csv in directory, as the CLI reads them."""
+    ser.write_returns_csv(directory / "returns.csv", returns)
+    ser.write_csv(directory / "factors.csv", (), ("date", *factors.factor_names),
+                  ((d, *map(float, row)) for d, row in zip(factors.dates, factors.values)))
 
 
 def write_text(path, lines):

@@ -1,5 +1,6 @@
 """numpy's BLAS runs simulate and empirical tasks on one thread."""
 
+import concurrent.futures
 import logging
 import multiprocessing
 import os
@@ -15,10 +16,9 @@ import portrisk as pr
 import portrisk.backtest as backtest
 import portrisk.simulation as sim
 from portrisk import blas
-from portrisk import serialization as ser
 from portrisk.simulation import _run_task
 
-from helpers import calibrated_market
+from helpers import calibrated_market, write_panel_files
 
 needs_control = pytest.mark.skipif(
     blas.blas_threads() is None,
@@ -53,7 +53,8 @@ def test_every_task_runs_on_one_blas_thread(two_threads, monkeypatch, workers, s
     monkeypatch.setattr(sim, "_BLOCK_BUDGET", 1)
     monkeypatch.setattr(sim, "_run_task", _task_on_one_thread)
     if start_method is not None:
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", partial(
+        # run_experiment imports the pool class from concurrent.futures on its pool branch
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context(start_method)))
     report = pr.run_experiment(TINY_GRID, 4, workers=workers, base_seed=3)
     assert report.replications == 4
@@ -120,12 +121,15 @@ replications = 2
 """
 
 
-def _run_cli(args, cwd, blas_env):
+def _run_cli(commands, cwd, blas_env):
+    """Run main on each argument list, in order, in one fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pr.__file__))
     if blas_env is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_env
-    proc = subprocess.run([sys.executable, "-m", "portrisk.cli", *args], cwd=cwd, env=env,
+    script = ("from portrisk.cli import main\n"
+              f"for argv in {commands!r}:\n    assert main(argv) == 0, argv")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, encoding="utf-8", timeout=300)
     assert proc.returncode == 0, proc.stderr
 
@@ -135,20 +139,40 @@ def test_outputs_do_not_depend_on_the_blas_thread_setting(tmp_path):
     # sizes where OpenBLAS threads its products unless told otherwise:
     # N=300 markets, and a 150-asset panel on 100-row windows
     (tmp_path / "grid.cfg").write_text(SIM_CONFIG, encoding="utf-8")
-    _, returns, factors = calibrated_market(150, 140, 29)
-    ser.write_returns_csv(tmp_path / "returns.csv", returns)
-    ser.write_csv(tmp_path / "factors.csv", (), ("date", *factors.factor_names),
-                  ((d, *map(float, row)) for d, row in zip(factors.dates, factors.values)))
+    write_panel_files(tmp_path, *calibrated_market(150, 140, 29)[1:])
 
     names = ("experiment_cells.csv", "experiment_figures.csv",
              "backtest_records.csv", "backtest_summary.csv")
     outputs = {}
     for blas_env in (None, "1"):
         out = tmp_path / f"out-{blas_env}"
-        _run_cli(["--output-dir", str(out), "--threads", "1", "simulate",
-                  "--config", "grid.cfg"], tmp_path, blas_env)
-        _run_cli(["--output-dir", str(out), "empirical", "--returns", "returns.csv",
-                  "--factors", "factors.csv", "--estimation-window", "100",
-                  "--holding-window", "20"], tmp_path, blas_env)
+        _run_cli([["--output-dir", str(out), "--threads", "1", "simulate",
+                   "--config", "grid.cfg"],
+                  ["--output-dir", str(out), "empirical", "--returns", "returns.csv",
+                   "--factors", "factors.csv", "--estimation-window", "100",
+                   "--holding-window", "20"]], tmp_path, blas_env)
         outputs[blas_env] = [(out / name).read_bytes() for name in names]
     assert outputs[None] == outputs["1"]
+
+
+@needs_control
+def test_estimate_and_hclub_outputs_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    # a 300-asset panel on 260 rows, where OpenBLAS threads the fits and
+    # the eigenvalue problems unless told otherwise
+    write_panel_files(tmp_path, *calibrated_market(300, 260, 31)[1:])
+    estimators = ("sample", "factor", "poet")
+    names = [f"covariance_{name}.csv" for name in estimators]
+    names += [f"assessment_{name}.csv" for name in estimators]
+    outputs = {}
+    for blas_env in ("1", "2"):
+        out = str(tmp_path / f"out-{blas_env}")
+        flags = ["--returns", "returns.csv", "--factors", "factors.csv"]
+        commands = [["--output-dir", out, "estimate", *flags, "--estimator", name]
+                    for name in estimators]
+        commands += [["--output-dir", out, "hclub", *flags, "--estimator", name,
+                      "--equal-weight", "--out", f"assessment_{name}.csv"]
+                     for name in estimators]
+        _run_cli(commands, tmp_path, blas_env)
+        outputs[blas_env] = [(tmp_path / f"out-{blas_env}" / name).read_bytes()
+                             for name in names]
+    assert outputs["1"] == outputs["2"]

@@ -134,6 +134,31 @@ def test_covariance_estimate_validation():
     assert est.max_eigenvalue == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("T, N", [(30, 7), (40, 60), (120, 150), (90, 33)])
+def test_built_sample_and_poet_matrices_are_stored_exactly_symmetric(T, N):
+    # these skip the symmetrize pass; what they store must be its result
+    rng = pr.derive_rng(113, "sym", T, N)
+    for order in "CF":
+        panel = make_panel(np.asarray(rng.standard_normal((T, N)) + 0.1, order=order))
+        built = [pr.sample_covariance(panel, flag).matrix for flag in (True, False)]
+        built += [pr.poet_covariance(panel, K, pr.ThresholdRule(rule), 0.7, demean=flag).matrix
+                  for K in (1, 3) for rule in ("hard", "soft", "scad") for flag in (True, False)]
+        for m in built:
+            assert m.tobytes() == ((m + m.T) / 2.0).tobytes()
+            assert not m.flags.writeable
+
+
+def test_caller_matrices_keep_the_symmetry_check():
+    bad = np.array([[1.0, 0.5], [0.2, 1.0]])
+    for kind in ("sample", "factor", "poet"):
+        with pytest.raises(pr.NumericalError, match="not symmetric"):
+            pr.CovarianceEstimate(bad, kind)
+    # noise-level asymmetry is averaged away
+    noisy = np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0]])
+    assert np.array_equal(pr.CovarianceEstimate(noisy, "sample").matrix,
+                          (noisy + noisy.T) / 2.0)
+
+
 # ------------------------------------------------------------- observed fit
 
 def test_ols_perfect_fit():

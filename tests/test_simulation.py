@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import os
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -646,6 +647,29 @@ def test_run_replication_summarizes_clamped_portfolios():
     assert sorted(messages) == sorted(
         f"truncated long-run variance was negative for {n} of 30 portfolios; clamped to 0"
         for n in clamped.values() if n)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_experiment_warns_once_with_the_clamped_total(workers, monkeypatch, capfd):
+    # one replication per task, so two workers share three tasks; every
+    # warning is printed to stderr, where forked workers' warnings land too
+    monkeypatch.setattr(sim, "_BLOCK_BUDGET", 1)
+    cell = pr.ExperimentCell(N=6, T=24, c=1.5, portfolios_per_rep=30, L=8,
+                             estimators=("sample", "factor", "poet"), poet_K=2)
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        print(f"{category.__name__} at {os.path.basename(filename)}: {message}",
+              file=sys.stderr, flush=True)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        report = pr.run_experiment([cell], 3, workers=workers, base_seed=11)
+    total = sum(agg.clamped_count for agg in report.cells)
+    assert total > 0
+    assert capfd.readouterr().err.splitlines() == [
+        "RuntimeWarning at test_simulation.py: truncated long-run variance was negative "
+        f"for {total} of 270 portfolio assessments; clamped to 0"]
 
 
 def test_cells_differing_only_in_exposure_share_markets():
