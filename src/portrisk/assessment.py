@@ -66,6 +66,10 @@ log = logging.getLogger(__name__)
 
 DEFAULT_LAGS = 5
 
+# how a clamped long-run variance warning starts; the simulation and the
+# backtest silence the per-call warnings and report their own totals
+_CLAMPED_WARNING = "truncated long-run variance was negative"
+
 # Rational minimax approximation to the standard normal inverse CDF
 # (Wichura's PPND16).  Absolute error is below 1e-15 over the full range,
 # well inside the 1e-9 budget the quantile contract requires.
@@ -167,7 +171,7 @@ def long_run_variances(series, centers, L: int):
         what = (f"({sigma2[0]:.3e})" if P == 1
                 else f"for {n_clamped} of {P} portfolios")
         warnings.warn(
-            f"truncated long-run variance was negative {what}; clamped to 0",
+            f"{_CLAMPED_WARNING} {what}; clamped to 0",
             RuntimeWarning,
             stacklevel=3,
         )

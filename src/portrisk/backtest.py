@@ -26,8 +26,8 @@ import numpy as np
 
 # autocov_* and ensure_positive_definite run inside EstimatorSpec; they stay
 # bound here for code that wraps the module's names to profile it
-from .assessment import (DEFAULT_LAGS, EstimatorSpec, autocov_factor, autocov_poet,
-                         autocov_sample, estimator_specs, hclub)
+from .assessment import (_CLAMPED_WARNING, DEFAULT_LAGS, EstimatorSpec, autocov_factor,
+                         autocov_poet, autocov_sample, estimator_specs, hclub)
 from .blas import single_thread
 from .errors import DataError, NumericalError, PortriskError
 from .estimators import ESTIMATOR_NAMES, ensure_positive_definite, portfolio_variance
@@ -215,8 +215,9 @@ def run_empirical_study(
     for the following block, and compares sqrt(w' Sigma_hat w) with the
     realized holding risk.  A window where an estimator cannot deliver
     (singular matrix, failed solve) is recorded in `skipped` with the
-    reason instead of aborting the study; one RuntimeWarning per call
-    counts the skipped cases by strategy, estimator and error type.
+    reason instead of aborting the study.  One RuntimeWarning per call
+    counts the long-run variances clamped at zero and the skipped cases,
+    these by strategy, estimator and error type.
     The windows run with numpy's BLAS on one thread (see portrisk.blas);
     the caller's BLAS thread count is restored on return.
     """
@@ -237,7 +238,9 @@ def run_empirical_study(
     records = []
     skipped = []
     skips = Counter()  # skipped cases per (strategy/estimator, error type)
-    with single_thread():
+    with single_thread(), warnings.catch_warnings():
+        # the summary below counts the clamped long-run variances
+        warnings.filterwarnings("ignore", _CLAMPED_WARNING, RuntimeWarning)
         for r in range(n_reb):
             lo, mid, hi = r * H, r * H + W, r * H + W + H
             window = returns.slice_rows(lo, mid)
@@ -265,16 +268,20 @@ def run_empirical_study(
                     except PortriskError as exc:
                         skipped.append(SkippedCase(r, strategy, spec.name, str(exc)))
                         skips[f"{strategy}/{spec.name} {type(exc).__name__}"] += 1
+    notes = []
+    clamped = sum(x.clamped for x in records)
+    if clamped:
+        notes.append(f"{_CLAMPED_WARNING} for {clamped} of {len(records)} portfolio "
+                     "assessments; clamped to 0")
     if skipped:
         first = skipped[0]
         counts = ", ".join(f"{n} {reason}" for reason, n in skips.items())
-        warnings.warn(
+        notes.append(
             f"skipped {len(skipped)} of {n_reb * len(strategies) * len(config._specs)} "
             f"(window, strategy, estimator) cases: {counts}; the first, window "
-            f"{first.index} {first.strategy}/{first.estimator}: {first.reason}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+            f"{first.index} {first.strategy}/{first.estimator}: {first.reason}")
+    if notes:
+        warnings.warn("; ".join(notes), RuntimeWarning, stacklevel=2)
 
     aggregates = []
     ppy = config.periods_per_year

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -99,17 +100,21 @@ class CovarianceEstimate:
 
     tuning records the threshold constant C, the rule kind, and the factor
     count K where applicable.  min_eigenvalue is computed lazily and
-    cached; construction symmetrizes the matrix after checking that any
-    asymmetry is at the floating-point noise level.  sample_covariance and
-    poet_covariance pass _symmetric=True and skip both: their matrices are
-    X'X products, which numpy computes exactly symmetric (syrk), and
-    entrywise maps of them, so (m + m')/2 would return m bit for bit.
+    cached, and so are the Cholesky verdict of _min_eigenvalue_above and
+    the weights of _gmv_weights; construction symmetrizes the matrix after
+    checking that any asymmetry is at the floating-point noise level.
+    sample_covariance and poet_covariance pass _symmetric=True and skip
+    both: their matrices are X'X products, which numpy computes exactly
+    symmetric (syrk), and entrywise maps of them, so (m + m')/2 would
+    return m bit for bit.
     """
 
     matrix: np.ndarray
     kind: str
     tuning: dict = field(default_factory=dict)
     _eig_range: tuple | None = field(default=None, repr=False, compare=False)
+    _cholesky_ok: bool | None = field(default=None, repr=False, compare=False)
+    _gmv: np.ndarray | None = field(default=None, repr=False, compare=False)
     _rebuild: Callable | None = field(default=None, repr=False, compare=False)
     _symmetric: InitVar[bool] = False
 
@@ -147,6 +152,41 @@ class CovarianceEstimate:
     @property
     def max_eigenvalue(self) -> float:
         return self._eigs()[1]
+
+    def _min_eigenvalue_above(self, cut: float) -> bool:
+        """Whether min_eigenvalue exceeds cut, without eigvalsh when a
+        failed Cholesky factorization already answers no.
+
+        A failed np.linalg.cholesky puts the smallest eigenvalue at the
+        rounding level, about N * eps * max diag, or below (the worst-case
+        error analysis allows about N times more; at N=300 failures start
+        below 1e-15 * max diag).  While the eigenvalues are not yet known
+        and that level is below cut, the factorization is tried (once: its
+        verdict is cached) and a failure answers no.  Every other case
+        compares min_eigenvalue with cut, so an estimate that is kept always
+        has its eigenvalues computed.
+        """
+        rounding = self.N * np.finfo(float).eps * float(np.max(np.diag(self.matrix)))
+        if self._eig_range is None and rounding < cut:
+            if self._cholesky_ok is None:
+                try:
+                    np.linalg.cholesky(self.matrix)
+                    self._cholesky_ok = True
+                except np.linalg.LinAlgError:
+                    self._cholesky_ok = False
+            if not self._cholesky_ok:
+                return False
+        return self.min_eigenvalue > cut
+
+    def _gmv_weights(self) -> np.ndarray:
+        """The global minimum-variance weights M^-1 1 / 1'M^-1 1, read-only;
+        solved once per estimate, so every exposure of it shares the solve."""
+        if self._gmv is None:
+            gmv = np.linalg.solve(self.matrix, np.ones(self.N))
+            gmv /= gmv.sum()
+            gmv.setflags(write=False)
+            self._gmv = gmv
+        return self._gmv
 
 
 @dataclass
@@ -240,11 +280,27 @@ def factor_covariance(fit: FactorModelFit, rule: ThresholdRule, C: float) -> Cov
     if np.any(d <= 0):
         i = int(np.argmin(d))
         raise NumericalError(f"non-positive residual variance for asset index {i}")
-    tau = C * np.sqrt(np.outer(d, d)) * math.sqrt(math.log(N) / T)
-    Sigma_u = _threshold_offdiag(S_u, tau, rule)
-    M = fit.loadings @ fit.factor_cov @ fit.loadings.T + Sigma_u
-    est = CovarianceEstimate(M, "factor", {"C": C, "rule": rule.kind, "K": fit.K})
-    est._rebuild = lambda C2: factor_covariance(fit, rule, C2)
+    return _thresholded("factor", fit.loadings @ fit.factor_cov @ fit.loadings.T, S_u, d,
+                        math.sqrt(math.log(N) / T), fit.K, rule, C)
+
+
+def _thresholded(kind, lowrank, remainder, d, rate, K, rule, C) -> CovarianceEstimate:
+    """lowrank plus remainder with its off-diagonals thresholded at
+    C * sqrt(d d') * rate: a factor or poet estimate from the parts that
+    do not depend on C.
+
+    The estimate re-thresholds through a partial of this function over the
+    same parts, so a rebuild at another C recomputes only the threshold
+    (sqrt(d d') included: keeping it would hold a third N x N array with
+    every estimate).  A partial holds the arrays without a reference cycle,
+    so they are freed with the estimate and not at the next cyclic garbage
+    collection.
+    """
+    matrix = lowrank + _threshold_offdiag(remainder, C * np.sqrt(np.outer(d, d)) * rate, rule)
+    # a poet matrix is exactly symmetric, as CovarianceEstimate explains
+    est = CovarianceEstimate(matrix, kind, {"C": C, "rule": rule.kind, "K": K},
+                             _symmetric=kind == "poet")
+    est._rebuild = partial(_thresholded, kind, lowrank, remainder, d, rate, K, rule)
     return est
 
 
@@ -344,12 +400,8 @@ def poet_covariance(
     lowrank = fit.loadings @ fit.loadings.T
     omega = S - lowrank
     d = np.clip(np.diag(omega), 0.0, None)
-    tau = C * np.sqrt(np.outer(d, d)) * (math.sqrt(math.log(N) / T) + 1.0 / math.sqrt(N))
-    omega_t = _threshold_offdiag(omega, tau, rule)
-    est = CovarianceEstimate(lowrank + omega_t, "poet", {"C": C, "rule": rule.kind, "K": K},
-                             _symmetric=True)
-    est._rebuild = lambda C2: poet_covariance(returns, K, rule, C2, demean=demean, fit=fit)
-    return est
+    return _thresholded("poet", lowrank, omega, d,
+                        math.sqrt(math.log(N) / T) + 1.0 / math.sqrt(N), K, rule, C)
 
 
 def select_num_factors(returns: ReturnsPanel, k_max: int, demean: bool = True) -> int:
@@ -399,10 +451,17 @@ def ensure_positive_definite(estimate: CovarianceEstimate) -> CovarianceEstimate
     C0 itself is never tried), where C0 is the estimate's own C (or 0.05
     when that C is zero), and returns the first positive-definite
     estimate, with the C actually used recorded in tuning.
+
+    A matrix whose Cholesky factorization fails is rejected without its
+    eigenvalues when the failure bounds the smallest eigenvalue below 1e-8
+    (see CovarianceEstimate._min_eigenvalue_above), so a rejected
+    candidate costs one failed factorization, not an eigendecomposition.
+    A rebuild reuses the N x N parts of the estimate that do not depend on
+    C (see _thresholded).
     """
     if estimate.kind not in ("factor", "poet"):
         raise DataError("only factor and poet estimates can be re-thresholded")
-    if estimate.min_eigenvalue > 1e-8:
+    if estimate._min_eigenvalue_above(1e-8):
         return estimate
     if estimate._rebuild is None:
         raise NumericalError("estimate carries no re-threshold recipe")
@@ -411,6 +470,6 @@ def ensure_positive_definite(estimate: CovarianceEstimate) -> CovarianceEstimate
     for _ in range(20):
         C *= 2.0
         candidate = estimate._rebuild(C)
-        if candidate.min_eigenvalue > 1e-8:
+        if candidate._min_eigenvalue_above(1e-8):
             return candidate
     raise NumericalError(f"still not positive definite after 20 doublings (C={C:g})")

@@ -175,12 +175,76 @@ class RateSeries:
 def _read_table(path, config: ParseConfig):
     """Parse a delimited file into (dates, names, T x N floats).
 
-    Errors name the offending data row (1-based, excluding the header) and
-    column so a malformed cell can be found in the original file.
+    A plain file (see _read_plain_table) has its numbers parsed by one
+    np.loadtxt call; any other file, and every file with an error, goes
+    through read_csv and a row-by-row parser.  Both give the same dates,
+    names and values, bit for bit.  Errors name the offending data row
+    (1-based, excluding the header) and column so a malformed cell can be
+    found in the original file.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
+    table = _read_plain_table(path, config)
+    return table if table is not None else _parse_rows(path, config)
+
+
+# ASCII characters np.loadtxt strips around a number as whitespace and
+# float() does not, and the ones csv.reader gives a meaning of its own
+_NOT_PLAIN = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_plain_table(path: Path, config: ParseConfig):
+    """_read_table's result for a plain file, or None for any other file.
+
+    A file is plain when it is UTF-8 text without a quote, NUL, lone
+    carriage return or ASCII separator (\\x1c-\\x1f), its delimiter is one
+    character other than whitespace, '"' and '#', no column is dropped,
+    and after the comment and empty lines the header has two fields or
+    more and every line after it has the header's field count, a nonblank
+    date later than the one before and numbers np.loadtxt parses.  On such
+    a file splitting at newlines and at the delimiter cuts where csv.reader
+    does, and loadtxt takes a number exactly when float() does and gives
+    the same double, except for underscores and non-ASCII digits, which
+    it rejects; so a file it reads gets the row parser's result, and
+    every other file, error messages included, is left to the row parser.
+    """
+    sep = config.delimiter
+    if len(sep) != 1 or sep.isspace() or sep in '"#':
+        return None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if any(ch in text for ch in _NOT_PLAIN) or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = [line for line in text.replace("\r\n", "\n").split("\n")
+             if line and not line.lstrip().startswith("#")]
+    if len(lines) < 2:
+        return None
+    names = [cell.strip() for cell in lines[0].split(sep)[1:]]
+    drop = set(config.excluded_columns) | {config.riskfree_column}
+    if not names or drop.intersection(names):
+        return None
+    dates, cells = [], []
+    for line in lines[1:]:
+        date, _, rest = line.partition(sep)
+        date = date.strip()
+        if (line.count(sep) != len(names) or not date or not rest
+                or (dates and date <= dates[-1])):
+            return None
+        dates.append(date)
+        cells.append(rest)
+    try:
+        values = np.loadtxt(cells, delimiter=sep, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return tuple(dates), tuple(names), values * (0.01 if config.percent_units else 1.0)
+
+
+def _parse_rows(path: Path, config: ParseConfig):
+    """_read_table on the rows of read_csv, one row at a time."""
     rows = read_csv(path, config.delimiter)
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")

@@ -290,19 +290,25 @@ def min_variance(estimate: CovarianceEstimate, c, opts: SolverOptions | None = N
     A certified result depends only on the support and its signs, so when
     the active-set finish settles on the support APG would certify later,
     it returns the same weights, bit for bit.
+
+    An estimate whose smallest eigenvalue is not above 1e-10 raises
+    NumericalError.  When a failed Cholesky factorization bounds it below
+    that cut the eigenvalues are never computed, and the message says
+    "Cholesky factorization failed" instead of quoting the eigenvalue; the
+    verdict is cached on the estimate, as are the eigenvalues and the
+    unconstrained weights, so the exposures of one estimate share them.
     """
     opts = opts or SolverOptions()
     c = _exposure_value(c)
     M = estimate.matrix
     N = estimate.N
-    if estimate.min_eigenvalue <= 1e-10:
+    if not estimate._min_eigenvalue_above(1e-10):
+        why = ("Cholesky factorization failed" if estimate._eig_range is None
+               else f"min eigenvalue {estimate.min_eigenvalue:.3e}")
         raise NumericalError(
-            f"covariance is not positive definite (min eigenvalue "
-            f"{estimate.min_eigenvalue:.3e}); re-threshold before optimizing"
+            f"covariance is not positive definite ({why}); re-threshold before optimizing"
         )
-    ones = np.ones(N)
-    gmv = np.linalg.solve(M, ones)
-    gmv /= gmv.sum()
+    gmv = estimate._gmv_weights()
     if np.abs(gmv).sum() <= c * (1.0 + 1e-12) + 1e-12:
         return Portfolio(gmv)
 

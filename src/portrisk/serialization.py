@@ -2,7 +2,8 @@
 
 All text formats are UTF-8 CSV with optional comment lines marked by '#'
 (indentation allowed); write_csv and read_csv are the package's only CSV
-writer and reader.  Floats are written as repr(float(v)), which
+writer and reader, except that the panel loaders parse a plain file's
+numbers with np.loadtxt (see panels._read_table).  Floats are written as repr(float(v)), which
 round-trips doubles exactly, so write/read cycles are lossless.  The
 binary covariance format stores the lower triangle only:
 

@@ -56,6 +56,7 @@ import numpy as np
 # the batched ops used here; they stay bound in this module for code that
 # wraps the module's names to profile it
 from .assessment import (
+    _CLAMPED_WARNING,
     DEFAULT_LAGS,
     EstimatorSpec,
     _quad_forms,
@@ -775,9 +776,6 @@ def default_workers() -> int:
         cpus = os.cpu_count() or 1
     return min(8, cpus)
 
-
-# the per-call warning of long_run_variances, which tasks silence
-_CLAMPED_WARNING = "truncated long-run variance was negative"
 
 # bytes a task may hold in each kind of per-replication array: every
 # replication of a block keeps its Sigma_u and Sigma_true (16 N^2 bytes)

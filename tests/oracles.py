@@ -7,11 +7,15 @@ between the two codebases is meaningful evidence rather than a tautology.
 scipy is a test-only dependency and supplies the high-precision special
 functions.
 
-The one exception is min_variance_apg at the end: a verbatim copy of the
+There are two exceptions.  min_variance_apg is a verbatim copy of the
 package's accelerated projected-gradient solver (with its simplex
 projection and KKT check) from before the active-set finish, kept as the
-reference the current solver must reproduce.  It uses the package's
+reference the current solver must reproduce; it uses the package's
 Portfolio, SolverOptions and input validation.
+ensure_positive_definite_eigvalsh is the package's PD repair from before
+it let a failed Cholesky factorization reject a matrix: every verdict
+comes from the smallest eigenvalue.  It re-thresholds through the
+estimate's own recipe.
 """
 
 import itertools
@@ -20,7 +24,7 @@ import math
 import numpy as np
 from scipy import special, stats
 
-from portrisk.errors import NumericalError
+from portrisk.errors import DataError, NumericalError
 from portrisk.estimators import CovarianceEstimate
 from portrisk.portfolios import Portfolio, SolverOptions, _exposure_value
 
@@ -314,3 +318,23 @@ def min_variance_apg(estimate: CovarianceEstimate, c, opts: SolverOptions | None
                 f"minimum-variance solver did not converge in {opts.max_iter} iterations"
             )
     return Portfolio(p - n)
+
+
+def ensure_positive_definite_eigvalsh(estimate: CovarianceEstimate) -> CovarianceEstimate:
+    """Re-threshold with doubled C until the smallest eigenvalue exceeds
+    1e-8: at most 20 rebuilds at 2 * C0, 4 * C0, ..., with C0 the
+    estimate's C (0.05 when that is zero)."""
+    if estimate.kind not in ("factor", "poet"):
+        raise DataError("only factor and poet estimates can be re-thresholded")
+    if estimate.min_eigenvalue > 1e-8:
+        return estimate
+    if estimate._rebuild is None:
+        raise NumericalError("estimate carries no re-threshold recipe")
+    recorded = float(estimate.tuning.get("C", 0.0))
+    C = recorded if recorded > 0 else 0.05
+    for _ in range(20):
+        C *= 2.0
+        candidate = estimate._rebuild(C)
+        if candidate.min_eigenvalue > 1e-8:
+            return candidate
+    raise NumericalError(f"still not positive definite after 20 doublings (C={C:g})")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import portrisk as pr
+from helpers import calibrated_market
 from portrisk.simulation import generate_var1_factors
 
 
@@ -248,3 +249,59 @@ def test_min_variance_gets_the_exposure_itself(monkeypatch):
     report = pr.run_empirical_study(returns, factors, cfg)
     assert seen == [1.23456789]
     assert [r.strategy for r in report.records] == ["equal", "minvar_c1.23457"]
+
+
+def test_clamped_long_run_variances_are_counted_in_the_one_warning():
+    # the study used to warn once per clamped long-run variance, 62 times here
+    _, returns, factors = calibrated_market(10, 300, 17)
+    cfg = pr.BacktestConfig(estimation_window=30, holding_window=10, L=8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = pr.run_empirical_study(returns, factors, cfg)
+    assert [str(w.message) for w in caught] == [
+        "truncated long-run variance was negative for 62 of 243 portfolio assessments; "
+        "clamped to 0"]
+    assert caught[0].category is RuntimeWarning and caught[0].filename == __file__
+    assert sum(r.clamped for r in report.records) == 62 and not report.skipped
+
+
+def test_clamped_and_skipped_cases_share_the_one_warning():
+    returns, factors = _market(100, 60 + 3 * 21, 241)
+    cfg = pr.BacktestConfig(estimation_window=60, holding_window=21,
+                            exposures=(1.0, 1.6), L=20, poet_K=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = pr.run_empirical_study(returns, factors, cfg)
+    clamped = sum(r.clamped for r in report.records)
+    assert clamped and len(caught) == 1
+    message = str(caught[0].message)
+    assert message.startswith(
+        f"truncated long-run variance was negative for {clamped} of {len(report.records)} "
+        "portfolio assessments; clamped to 0; skipped 6 of 27 (window, strategy, estimator) ")
+
+
+def test_wide_study_decomposes_and_solves_each_kept_estimate_once(monkeypatch):
+    # the shape of perfbench's backtest_wide: N=300, two 252-period windows.
+    # Per window the sample estimate is singular and the factor estimate is
+    # repaired from C=0.3 over 0.6 to 1.2; failed Cholesky factorizations
+    # reject those without eigvalsh, and the exposures of an estimate share
+    # one solve of M w = 1.  Before, the study ran eigvalsh 10 times and
+    # that solve 12 times
+    _, returns, factors = calibrated_market(300, 252 + 2 * 21, 31)
+    calls = {"eigvalsh": 0, "solve": 0, "cholesky": 0}
+
+    def counted(name, real):
+        def call(m, *args, **kwargs):
+            if m.shape == (300, 300) and (name != "solve" or np.ndim(args[0]) == 1):
+                calls[name] += 1
+            return real(m, *args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    cfg = pr.BacktestConfig(estimation_window=252, holding_window=21,
+                            exposures=(1.0, 1.6, 2.0))
+    with pytest.warns(RuntimeWarning, match="skipped 6 of 24"):
+        report = pr.run_empirical_study(returns, factors, cfg)
+    assert calls == {"eigvalsh": 4, "solve": 4, "cholesky": 10}
+    assert len(report.records) == 18

@@ -504,3 +504,85 @@ def test_ensure_pd_reuses_the_poet_pca_fit(monkeypatch):
     fixed = pr.ensure_positive_definite(start)
     assert fixed.tuning["C"] == ENSURE_PD_FINAL_C
     assert calls == []
+
+
+# the eigvalsh-only repair in oracles is the reference: a failed Cholesky
+# factorization may spare an eigendecomposition but never change a verdict
+
+def _pd_repair_builder(kind, panel, factors):
+    """C -> a fresh factor (hard rule) or poet (soft rule, K=3) estimate."""
+    if kind == "factor":
+        fit = pr.ols_factor_fit(panel, factors)
+        return lambda C: pr.factor_covariance(fit, pr.ThresholdRule("hard"), C)
+    return lambda C: pr.poet_covariance(panel, 3, pr.ThresholdRule("soft"), C)
+
+
+@pytest.mark.parametrize("kind, C, doublings", [
+    ("factor", 1.2, 0), ("factor", 0.6, 1), ("factor", 0.3, 2), ("factor", 0.05, 5),
+    ("poet", 0.2, 0), ("poet", 0.1, 1), ("poet", 0.05, 2), ("poet", 0.02, 3),
+])
+def test_ensure_pd_matches_the_eigvalsh_oracle(kind, C, doublings):
+    _, panel, factors = calibrated_market(60, 40, (5, "pd"))
+    build = _pd_repair_builder(kind, panel, factors)
+    start = build(C)
+    got = pr.ensure_positive_definite(start)
+    want = oracles.ensure_positive_definite_eigvalsh(build(C))
+    assert got.tuning == want.tuning
+    assert got.tuning["C"] == C * 2 ** doublings
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert (got is start) == (doublings == 0)
+    # the rebuild from the kept parts equals a build from scratch
+    assert got.matrix.tobytes() == build(got.tuning["C"]).matrix.tobytes()
+    assert got.min_eigenvalue > 1e-8
+
+
+@pytest.mark.parametrize("noise", [1e-9, 1e-7])
+def test_ensure_pd_raises_the_oracle_error_after_20_doublings(noise):
+    # four assets spanned by the three factors up to noise: their residual
+    # variances are near zero, so no threshold makes the estimate PD.  At
+    # 1e-9 the last candidate's Cholesky factorization fails, at 1e-7 it
+    # succeeds and the eigenvalue decides
+    _, panel, factors = calibrated_market(60, 40, (5, "pd"))
+    rng = np.random.default_rng(11)
+    values = panel.values.copy()
+    values[:, :4] = factors.values @ rng.standard_normal((3, 4)) + noise * rng.standard_normal((40, 4))
+    build = _pd_repair_builder("factor", make_panel(values), make_factor_panel(factors.values))
+    with pytest.raises(pr.NumericalError) as got:
+        pr.ensure_positive_definite(build(0.3))
+    with pytest.raises(pr.NumericalError) as want:
+        oracles.ensure_positive_definite_eigvalsh(build(0.3))
+    assert str(got.value) == str(want.value) == (
+        "still not positive definite after 20 doublings (C=314573)")
+
+
+def test_ensure_pd_rejects_failed_factorizations_without_eigenvalues(monkeypatch):
+    # C=0.3 and 0.6 fail their Cholesky factorization; only the kept
+    # estimate at 1.2 is decomposed, once
+    _, panel, factors = calibrated_market(60, 40, (5, "pd"))
+    start = _pd_repair_builder("factor", panel, factors)(0.3)
+    decomposed = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m, *args, **kwargs):
+        decomposed.append(m)
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    fixed = pr.ensure_positive_definite(start)
+    assert fixed.tuning["C"] == 1.2
+    assert len(decomposed) == 1 and decomposed[0] is fixed.matrix
+    assert start._cholesky_ok is False and start._eig_range is None
+
+
+def test_a_failed_factorization_decides_only_below_its_rounding_level():
+    # 50 assets over 20 periods: a singular sample estimate, whose Cholesky
+    # factorization fails.  That failure bounds the smallest eigenvalue by
+    # about N * eps * max diag, so it answers for cuts above that level;
+    # for a cut below it the eigenvalues decide
+    est = pr.sample_covariance(make_panel(np.random.default_rng(79).standard_normal((20, 50))))
+    level = 50 * np.finfo(float).eps * float(np.max(np.diag(est.matrix)))
+    assert not est._min_eigenvalue_above(2.0 * level)
+    assert est._cholesky_ok is False and est._eig_range is None
+    verdict = est._min_eigenvalue_above(level / 2.0)
+    assert est._eig_range is not None
+    assert verdict == (est.min_eigenvalue > level / 2.0)

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import portrisk as pr
 from helpers import make_factor_panel, make_panel, write_text
@@ -249,3 +250,113 @@ def test_slice_rows_keeps_labels():
     assert part.dates == panel.dates[1:3]
     assert part.assets == panel.assets
     assert np.array_equal(part.values, panel.values[1:3])
+
+
+# ------------------------------------------- fast loader against the row parser
+
+def _parsed(parse, path, config):
+    """(dates, names, shape, value bytes), or the DataError text."""
+    try:
+        dates, names, values = parse(path, config)
+    except pr.DataError as exc:
+        return str(exc)
+    return dates, names, values.shape, values.tobytes()
+
+
+def _assert_loaders_agree(path, config):
+    """_read_table gives the row parser's result; True when its np.loadtxt
+    path read the file."""
+    from portrisk import panels
+
+    want = _parsed(panels._parse_rows, path, config)
+    assert _parsed(panels._read_table, path, config) == want
+    plain = panels._read_plain_table(path, config)
+    if plain is not None:
+        assert _parsed(lambda *args: plain, path, config) == want
+    return plain is not None
+
+
+PLAIN = pr.ParseConfig()
+
+# (file text, config, whether the np.loadtxt path reads it)
+LOADER_CASES = {
+    "crlf": ("date,a,b\r\nd1,0.1,-0.2\r\nd2,1e-3,4\r\n", PLAIN, True),
+    "padding": ("date , aaa ,bbb\n2020-01-01,  0.5 ,\t-2e-3\n 2020-01-02 ,\f1\v, 7 \n",
+                PLAIN, True),
+    "unicode padding": ("date,a\nd1,\u00a00.5\u2003\nd2,1\u2028\n", PLAIN, True),
+    "signs and zeros": ("date,a,b,c\nd1,+1,-0.0,+.25\nd2,-0,0e0,1.\n", PLAIN, True),
+    "subnormals": ("date,a,b\nd1,5e-324,4.9e-324\nd2,2.2250738585072014e-308,1e-320\n",
+                   PLAIN, True),
+    "overflow": ("date,a\nd1,1e500\nd2,-1e500\n", PLAIN, True),
+    "nan and inf": ("date,a,b\nd1,nan,-inf\nd2,+NaN,Infinity\n", PLAIN, True),
+    "no final newline": ("date,a\nd1,1\nd2,2", PLAIN, True),
+    "comments": ("# head\n  # indented\ndate,a\n\t# note\nd1,1\n\nd2,2\n", PLAIN, True),
+    "percent": ("date,a,b\nd1,26.23,-11.88\nd2,1.25,22.15\n",
+                pr.ParseConfig(percent_units=True), True),
+    "semicolon": ("date;a;b\nd1;0.1;0.2\nd2;0.3;0.4\n", pr.ParseConfig(delimiter=";"), True),
+    "byte order mark": ("\ufeffdate,a\nd1,1\nd2,2\n", PLAIN, True),
+    "underscores": ("date,a,b\nd1,1_000,2\nd2,1_0.0_1,3\n", PLAIN, False),
+    "non-ASCII digits": ("date,a\nd1,\u0661\u0662\nd2,\u0663.\u0665\n", PLAIN, False),
+    "quoted cells": ('date,a,b\nd1,"0.5",2\n"d2",1,"3"\n', PLAIN, False),
+    "quoted delimiter": ('date,a\nd1,"1,5"\n', PLAIN, False),
+    "lone carriage return": ("date,a\rd1,1\rd2,2\r", PLAIN, False),
+    "carriage return in a row": ("date,a,b\nd1\r,1,2\nd2,3,4\n", PLAIN, False),
+    "NUL": ("date,a\nd1,1\x00\n", PLAIN, False),
+    "ASCII separators": ("date,a\nd1,\x1c1.0\nd2,2\x1f\n", PLAIN, False),
+    "trailing delimiter": ("date,a,b\nd1,0.1,0.2,\n", PLAIN, False),
+    "trailing delimiter everywhere": ("date,a,b,\nd1,0.1,0.2,\n", PLAIN, False),
+    "whitespace-only line": ("date,a\nd1,1\n   \nd2,2\n", PLAIN, False),
+    "whitespace-only header": ("  \ndate,a\nd1,1\n", PLAIN, False),
+    "empty cell": ("date,a,b\nd1,,2\n", PLAIN, False),
+    "empty single cell": ("date,a\nd1,\nd2,2\n", PLAIN, False),
+    "blank cell": ("date,a\nd1, \n", PLAIN, False),
+    "two numbers in a cell": ("date,a\nd1,1.0 2.0\n", PLAIN, False),
+    "hex and percent": ("date,a,b\nd1,0x10,1.5%\n", PLAIN, False),
+    "ragged": ("date,a,b\nd1,1,2\nd2,1\n", PLAIN, False),
+    "empty date": ("date,a\n ,1\n", PLAIN, False),
+    "dates out of order": ("date,a\nd2,1\nd1,2\n", PLAIN, False),
+    "header only": ("date,a\n", PLAIN, False),
+    "no data columns": ("date\nd1\n", PLAIN, False),
+    "only comments": ("# nothing\n", PLAIN, False),
+    "excluded column": ("date,a,b\nd1,1,2\nd2,3,4\n",
+                        pr.ParseConfig(excluded_columns=("a",)), False),
+    "risk-free column": ("date,Mkt,RF\nd1,0.55,0.002\nd2,-0.3,0.002\n",
+                         pr.ParseConfig(percent_units=True, riskfree_column="RF"), False),
+    "every column excluded": ("date,a\nd1,1\n", pr.ParseConfig(excluded_columns=("a",)), False),
+    "tab delimiter": ("date\ta\tb\nd1\t 1\t2\nd2\t3\t\t\n", pr.ParseConfig(delimiter="\t"), False),
+    "hash delimiter": ("date#a\nd1#1\n#d2#2\n", pr.ParseConfig(delimiter="#"), False),
+}
+
+
+@pytest.mark.parametrize("case", LOADER_CASES)
+def test_fast_loader_matches_the_row_parser(tmp_path, case):
+    text, config, fast = LOADER_CASES[case]
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _assert_loaders_agree(path, config) == fast
+
+
+def test_fast_loader_leaves_non_utf8_files_to_the_row_parser(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("date,café\nd1,1\n".encode("latin-1"))
+    assert not _assert_loaders_agree(path, PLAIN)
+
+
+# cells a parser might read differently: padding, signs, exponents, the
+# edges of the double range, non-finite spellings and near-misses of each
+_TOKENS = ["0", "-0.0", "+1", "1.", ".5", "1e-3", "-2E+2", " 7 ", "\t8", "9 ",
+           "5e-324", "1e-400", "1.7976931348623157e308", "1e309", "nan", "-Inf",
+           "1_0", "1__0", "", " ", "x", "1e", "--1", "0x1", "\u0661", "1 2", "1\x1e"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_TOKENS), min_size=2, max_size=2),
+                min_size=1, max_size=4),
+       st.booleans(), st.booleans())
+def test_fast_loader_matches_the_row_parser_on_drawn_cells(tmp_path_factory, rows, crlf,
+                                                           percent):
+    newline = "\r\n" if crlf else "\n"
+    text = newline.join(["date,a,b"] + [f"d{i},{x},{y}" for i, (x, y) in enumerate(rows)])
+    path = tmp_path_factory.mktemp("drawn") / "panel.csv"
+    path.write_bytes((text + newline).encode("utf-8"))
+    _assert_loaders_agree(path, pr.ParseConfig(percent_units=percent))

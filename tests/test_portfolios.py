@@ -362,6 +362,46 @@ def test_min_variance_on_backtest_window_equals_apg_oracle(backtest_factor_estim
     assert got.tobytes() == want.tobytes()
 
 
+def test_exposures_on_one_estimate_equal_calls_on_fresh_estimates(backtest_factor_estimate):
+    # one estimate caches its eigenvalues, Cholesky verdict and unconstrained
+    # weights across calls; c=50 returns those weights themselves
+    est = pr.CovarianceEstimate(backtest_factor_estimate.matrix, "factor",
+                                dict(backtest_factor_estimate.tuning))
+    cs = (50.0, 1.0, 1.6, 2.0, 50.0)
+    shared = [pr.min_variance(est, c).weights for c in cs]
+    for c, got in zip(cs, shared):
+        fresh = pr.CovarianceEstimate(est.matrix.copy(), "factor", dict(est.tuning))
+        assert got.tobytes() == pr.min_variance(fresh, c).weights.tobytes()
+    assert shared[0].tobytes() == est._gmv_weights().tobytes()
+
+
+def test_singular_sample_estimate_raises_without_eigenvalues(monkeypatch):
+    # 50 assets over 20 periods: the sample covariance has rank 19
+    rng = np.random.default_rng(73)
+    est = pr.sample_covariance(pr.ReturnsPanel(
+        tuple(f"d{t:02d}" for t in range(20)), tuple(f"a{i:02d}" for i in range(50)),
+        rng.standard_normal((20, 50))))
+    factorized = []
+    cholesky = np.linalg.cholesky
+
+    def counted(m):
+        factorized.append(m)
+        return cholesky(m)
+
+    def no_eigenvalues(*args, **kwargs):
+        raise AssertionError("eigenvalues computed")
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigenvalues)
+    for c in (1.0, 1.6):
+        with pytest.raises(pr.NumericalError, match=re.escape(
+                "covariance is not positive definite (Cholesky factorization failed); "
+                "re-threshold before optimizing")):
+            pr.min_variance(est, c)
+    assert len(factorized) == 1  # the verdict is cached on the estimate
+    assert est._eig_range is None and est._gmv is None
+
+
 def test_stalled_solver_warns_once_and_keeps_its_iterate(monkeypatch):
     # the unconstrained optimum of this matrix has gross exposure 2.48
     est = _estimate(_factor_matrix(30, 2, 71))
