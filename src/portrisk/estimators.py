@@ -229,7 +229,8 @@ class FactorModelFit:
 def sample_covariance(panel: ReturnsPanel, demean_flag: bool = True) -> CovarianceEstimate:
     """S = T^-1 X'X on the panel's (optionally demeaned) rows."""
     X = panel.demeaned_values if demean_flag else panel.values
-    S = X.T @ X / panel.T
+    S = X.T @ X
+    S /= panel.T
     return CovarianceEstimate(S, "sample", {"demeaned": demean_flag}, _symmetric=True)
 
 

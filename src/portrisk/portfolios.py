@@ -226,20 +226,16 @@ def _kkt_solve(M: np.ndarray, pattern: np.ndarray, c: float):
     return full, nxt, mu >= -gtol
 
 
-def _certify_kkt(M: np.ndarray, pattern: np.ndarray, c: float):
+def _certify_kkt(M: np.ndarray, pattern: np.ndarray, c: float, step=None):
     """The optimal weights if the solution on the signed support `pattern`
-    satisfies the full KKT system, else None."""
-    step = _kkt_solve(M, pattern, c)
+    satisfies the full KKT system, else None.  step is the _kkt_solve
+    result on `pattern` when the caller has it; otherwise it is solved."""
     if step is None:
-        return None
+        step = _kkt_solve(M, pattern, c)
+        if step is None:
+            return None
     w, nxt, mu_ok = step
     return w if mu_ok and np.array_equal(nxt, pattern) else None
-
-
-def _active_set_step(M: np.ndarray, pattern: np.ndarray, c: float):
-    """The signed support after one active-set step, or None."""
-    step = _kkt_solve(M, pattern, c)
-    return None if step is None else step[1]
 
 
 def _active_set(M: np.ndarray, pattern: np.ndarray, c: float):
@@ -247,16 +243,17 @@ def _active_set(M: np.ndarray, pattern: np.ndarray, c: float):
     from a signed support.
 
     Steps the support until it stops changing and returns the _certify_kkt
-    result on it; returns None when a system is singular or the support
-    has not settled within _ACTIVE_SET_STEPS steps.
+    result of the step on which it settled, without solving that support
+    again; returns None when a system is singular or the support has not
+    settled within _ACTIVE_SET_STEPS steps.
     """
     for _ in range(_ACTIVE_SET_STEPS):
-        nxt = _active_set_step(M, pattern, c)
-        if nxt is None:
+        step = _kkt_solve(M, pattern, c)
+        if step is None:
             return None
-        if np.array_equal(nxt, pattern):
-            return _certify_kkt(M, pattern, c)
-        pattern = nxt
+        if np.array_equal(step[1], pattern):
+            return _certify_kkt(M, pattern, c, step)
+        pattern = step[1]
     return None
 
 

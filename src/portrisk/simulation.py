@@ -35,9 +35,11 @@ covariances of its block, steps the VAR(1) factor chains of the whole
 block together, and then takes one replication at a time: it draws that
 market's errors, builds each distinct estimator spec once, and
 evaluates every cell of the market with the batched portfolio sampler and
-long-run-variance kernel.  Blocks are sized so that the error and true
-covariances they hold, and their factor chains, each stay within a fixed
-memory budget; from N = 182 on a block is a single replication.
+long-run-variance kernel.  A market keeps its error covariance in parts
+(the error variances and the block of the coupled rows) and never forms
+the true covariance.  Blocks are sized so that the coupled blocks they
+hold, at most N x N each, and their factor chains each stay within a fixed
+memory budget; from N = 257 on a block is a single replication.
 """
 
 from __future__ import annotations
@@ -169,13 +171,25 @@ class CalibrationParams:
             "sd_min", "sd_max", "corr_cap",
         ):
             parts.append(repr(float(getattr(self, name))))
-        # every field is immutable, so the digest is taken once, here
+        # every field is immutable, so the digest and the innovation
+        # covariance are computed once, here
         object.__setattr__(self, "_fingerprint",
                            hashlib.sha256("|".join(parts).encode()).hexdigest()[:16])
+        try:
+            sigma_eps = solve_lyapunov(self.Phi, self.cov_f)
+        except NumericalError as exc:
+            raise DataError(f"Phi and cov_f admit no VAR(1) innovation covariance: {exc}") from None
+        sigma_eps.setflags(write=False)
+        object.__setattr__(self, "_Sigma_eps", sigma_eps)
 
     def fingerprint(self) -> str:
         """16 hex digits of a SHA-256 over every parameter value."""
         return self._fingerprint
+
+    @property
+    def Sigma_eps(self) -> np.ndarray:
+        """Innovation covariance of the VAR(1), solve_lyapunov(Phi, cov_f)."""
+        return self._Sigma_eps
 
 
 def default_calibration() -> CalibrationParams:
@@ -340,8 +354,8 @@ def _thresholded_is_pd(corr: np.ndarray, rows: np.ndarray, level: float) -> bool
     return block_is_pd(rows)
 
 
-def _error_cov_detail(params: CalibrationParams, N: int, rng):
-    """Error covariance plus the correlation matrix and threshold used."""
+def _error_corr(params: CalibrationParams, N: int, rng):
+    """Error sds, the thresholded correlation matrix and its level."""
     if N < 1:
         raise DataError("N must be at least 1")
     sds = _draw_error_sds(params, N, rng)
@@ -387,13 +401,33 @@ def _error_cov_detail(params: CalibrationParams, N: int, rng):
         np.fill_diagonal(corr, 1.0)
         corr[i, j] = values
         corr[j, i] = values
-    sigma_u = corr * np.outer(sds, sds)
-    return sigma_u, corr, threshold
+    return sds, corr, threshold
 
 
-def generate_error_cov(params: CalibrationParams, N: int, rng) -> np.ndarray:
-    """Sparse-by-construction PD error covariance D * Sigma0 * D."""
-    return _error_cov_detail(params, N, rng)[0]
+def _error_cov_detail(params: CalibrationParams, N: int, rng):
+    """Error covariance plus the correlation matrix and threshold used."""
+    sds, corr, threshold = _error_corr(params, N, rng)
+    return corr * np.outer(sds, sds), corr, threshold
+
+
+def _coupled_rows(matrix: np.ndarray) -> np.ndarray:
+    """The rows of a square matrix that keep a nonzero off-diagonal entry."""
+    return np.flatnonzero(np.count_nonzero(matrix, axis=1) > (np.diagonal(matrix) != 0))
+
+
+def generate_error_cov(params: CalibrationParams, N: int, rng, parts: bool = False):
+    """Sparse-by-construction PD error covariance D * Sigma0 * D.
+
+    With parts=True it returns what a ModelInstance keeps of that N x N
+    matrix instead, without forming it: the error variances (its
+    diagonal), the sorted rows b that keep an off-diagonal entry, and the
+    block Sigma_u[b, b], each entry the product the matrix holds.
+    """
+    if not parts:
+        return _error_cov_detail(params, N, rng)[0]
+    sds, corr, _ = _error_corr(params, N, rng)
+    b = _coupled_rows(corr)
+    return sds * sds, b, corr[np.ix_(b, b)] * np.outer(sds[b], sds[b])
 
 
 def stationary_mean(params: CalibrationParams) -> np.ndarray:
@@ -417,7 +451,7 @@ def generate_var1_factors(params: CalibrationParams, T: int, rng) -> np.ndarray:
         raise DataError("T must be at least 1")
     single = hasattr(rng, "standard_normal")
     rngs = (rng,) if single else tuple(rng)
-    root = _psd_root(solve_lyapunov(params.Phi, params.cov_f), "Sigma_eps")
+    root = _psd_root(params.Sigma_eps, "Sigma_eps")
     steps, R = VAR_BURN_IN + T, len(rngs)
     # time-major column vectors; row t holds every chain's innovation at
     # step t until the recursion overwrites it with the chains' state
@@ -441,35 +475,93 @@ def generate_var1_factors(params: CalibrationParams, T: int, rng) -> np.ndarray:
 
 @dataclass
 class ModelInstance:
-    """One synthetic market: loadings, error covariance, true covariance."""
+    """One synthetic market's covariance, kept in parts.
+
+    The true covariance is Sigma_true = B cov_f B' + Sigma_u, and Sigma_u
+    is diagonal outside its coupled rows b (the rows that keep an
+    off-diagonal entry).  An instance keeps the loadings B, the factor
+    covariance cov_f, the error variances error_var (the diagonal of
+    Sigma_u), the sorted rows coupled = b and the block coupled_block =
+    Sigma_u[b, b]: O(N + |b|^2) numbers.  Sigma_u and Sigma_true are built
+    on each access, a new read-only N x N array (8 N^2 bytes) every time,
+    with the bits the dense construction gives; the simulation reads only
+    the parts, through true_variances and max_abs_deviation.
+    """
 
     B: np.ndarray
-    Sigma_u: np.ndarray
-    Sigma_true: np.ndarray
-    Sigma_eps: np.ndarray
+    cov_f: np.ndarray
+    error_var: np.ndarray
+    coupled: np.ndarray
+    coupled_block: np.ndarray
 
     def __post_init__(self):
-        for name in ("B", "Sigma_u", "Sigma_true", "Sigma_eps"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for name in ("B", "cov_f", "error_var", "coupled", "coupled_block"):
+            arr = np.asarray(getattr(self, name), dtype=np.intp if name == "coupled" else float)
             arr.setflags(write=False)
             setattr(self, name, arr)
+        # the error variances outside b, zero on b, where the block has them
+        self._uncoupled_var = self.error_var.copy()
+        self._uncoupled_var[self.coupled] = 0.0
 
     @property
     def N(self) -> int:
         return self.B.shape[0]
 
+    @property
+    def Sigma_u(self) -> np.ndarray:
+        """The N x N error covariance, built on each access."""
+        out = np.diag(self.error_var)
+        out[np.ix_(self.coupled, self.coupled)] = self.coupled_block
+        out.setflags(write=False)
+        return out
+
+    @property
+    def Sigma_true(self) -> np.ndarray:
+        """The N x N true covariance B cov_f B' + Sigma_u, built on each access."""
+        out = self.B @ self.cov_f @ self.B.T + self.Sigma_u
+        out.setflags(write=False)
+        return out
+
+    def true_variances(self, W: np.ndarray) -> np.ndarray:
+        """w'Sigma_true w for every column w of W.
+
+        Each variance is (B'w)'cov_f(B'w) plus Sigma_u[i, i] w_i^2 summed
+        off b plus w_b'Sigma_u[b, b]w_b: O(N) work per portfolio on top of
+        the block, not an N x N product.
+        """
+        BW = self.B.T @ W
+        return (np.einsum("kp,kp->p", BW, self.cov_f @ BW)
+                + self._uncoupled_var @ (W * W)
+                + _quad_forms(self.coupled_block, W[self.coupled]))
+
+    def max_abs_deviation(self, M: np.ndarray) -> float:
+        """max |M - Sigma_true| over all entries, with one N x N temporary.
+
+        B cov_f B' is formed by the product Sigma_true takes, so it has
+        the same bits; the error variances and the coupled block are added
+        into it, and the difference and its magnitude are taken in place.
+        Row blocks of that product would hold less, but BLAS chooses its
+        kernel by the shape of a product, and on a block it may round
+        entries differently from the whole.
+        """
+        out = self.B @ self.cov_f @ self.B.T
+        out.reshape(-1)[::self.N + 1] += self._uncoupled_var
+        out[np.ix_(self.coupled, self.coupled)] += self.coupled_block
+        np.subtract(M, out, out=out)
+        return float(np.max(np.abs(out, out=out)))
+
 
 def build_model_instance(params: CalibrationParams, N: int, rng) -> ModelInstance:
-    """Draw loadings and error covariance; assemble the true covariance.
+    """Draw the loadings and the error covariance of one market.
 
     The generator is consumed in a fixed order: loadings first, then
-    error sds, then error correlations.
+    error sds, then error correlations.  The error covariance is kept in
+    parts (see ModelInstance), and the true covariance is not formed.
     """
     B = generate_loadings(params, N, rng)
-    Sigma_u = generate_error_cov(params, N, rng)
-    Sigma_true = B @ params.cov_f @ B.T + Sigma_u
-    Sigma_eps = solve_lyapunov(params.Phi, params.cov_f)
-    return ModelInstance(B=B, Sigma_u=Sigma_u, Sigma_true=Sigma_true, Sigma_eps=Sigma_eps)
+    error_var, coupled, coupled_block = generate_error_cov(params, N, rng, parts=True)
+    return ModelInstance(B=B, cov_f=params.cov_f, error_var=error_var,
+                         coupled=coupled, coupled_block=coupled_block)
 
 
 @dataclass(frozen=True)
@@ -524,22 +616,17 @@ def _calibration(cell: ExperimentCell) -> CalibrationParams:
     return cell.calibration or _default_calibration()
 
 
-def _coupled_rows(Sigma_u: np.ndarray) -> np.ndarray:
-    """The rows of Sigma_u that keep a nonzero off-diagonal entry."""
-    return np.flatnonzero(np.count_nonzero(Sigma_u, axis=1) > (np.diagonal(Sigma_u) != 0))
-
-
-def _correlated_errors(Z: np.ndarray, Sigma_u: np.ndarray) -> np.ndarray:
-    """Z chol(Sigma_u)', written over Z.
+def _correlated_errors(Z: np.ndarray, instance: ModelInstance) -> np.ndarray:
+    """Z chol(Sigma_u)', written over Z, for the instance's Sigma_u.
 
     Sigma_u is diagonal off its coupled rows b, so its Cholesky factor is
     the sds there and the factor of the (b, b) block on b: the other
     columns of Z are scaled, and only the columns b take a product.
     """
-    b = _coupled_rows(Sigma_u)
+    b = instance.coupled
     Zb = Z[:, b]
-    Z *= np.sqrt(np.diagonal(Sigma_u))
-    Z[:, b] = Zb @ np.linalg.cholesky(Sigma_u[np.ix_(b, b)]).T
+    Z *= np.sqrt(instance.error_var)
+    Z[:, b] = Zb @ np.linalg.cholesky(instance.coupled_block).T
     return Z
 
 
@@ -560,7 +647,7 @@ def _generate_markets(params: CalibrationParams, N: int, T: int, base_seed: int,
     dates = tuple(f"t{t:06d}" for t in range(T))
     assets = tuple(f"a{i:04d}" for i in range(N))
     for instance, F, rng in zip(instances, factors, rngs):
-        U = _correlated_errors(rng.standard_normal((T, N)), instance.Sigma_u)
+        U = _correlated_errors(rng.standard_normal((T, N)), instance)
         market = (instance, ReturnsPanel(dates, assets, F @ instance.B.T + U),
                   FactorPanel(dates, ("f1", "f2", "f3"), F))
         # the frame stays suspended while the caller uses the market: drop U
@@ -593,13 +680,6 @@ class _Market:
             simulated = _generate_market(_calibration(cell), cell.N, cell.T, base_seed, rep)
         self.instance, self.panel, self.fpanel = simulated
         self._estimates = {}
-        # Sigma_u split at its coupled rows b, for true_variances
-        Sigma_u = self.instance.Sigma_u
-        self._cov_f = _calibration(cell).cov_f
-        self._coupled = _coupled_rows(Sigma_u)
-        self._coupled_block = Sigma_u[np.ix_(self._coupled, self._coupled)]
-        self._uncoupled_var = np.diagonal(Sigma_u).copy()
-        self._uncoupled_var[self._coupled] = 0.0
 
     def estimate(self, spec: EstimatorSpec) -> tuple:
         """(fitted estimator, max |Sigma_hat - Sigma|) of spec on this market.
@@ -608,22 +688,9 @@ class _Market:
         """
         if spec not in self._estimates:
             fitted = spec.fit(self.panel, self.fpanel)
-            max_err = float(np.max(np.abs(fitted.estimate.matrix - self.instance.Sigma_true)))
+            max_err = self.instance.max_abs_deviation(fitted.estimate.matrix)
             self._estimates[spec] = (fitted, max_err)
         return self._estimates[spec]
-
-    def true_variances(self, W: np.ndarray) -> np.ndarray:
-        """w'Sigma_true w for every column w of W.
-
-        Sigma_true = B cov_f B' + Sigma_u, and Sigma_u is diagonal off its
-        coupled rows b, so each variance is (B'w)'cov_f(B'w) plus
-        Sigma_u[i, i] w_i^2 summed off b plus w_b'Sigma_u[b, b]w_b: O(N)
-        work per portfolio on top of the block, not an N x N product.
-        """
-        BW = self.instance.B.T @ W
-        return (np.einsum("kp,kp->p", BW, self._cov_f @ BW)
-                + self._uncoupled_var @ (W * W)
-                + _quad_forms(self._coupled_block, W[self._coupled]))
 
 
 def run_replication(cell: ExperimentCell, base_seed: int, rep: int,
@@ -646,7 +713,7 @@ def run_replication(cell: ExperimentCell, base_seed: int, rep: int,
     W = sample_random_weights(N, cell.c, rng_pf, P)
     gross_sq = np.abs(W).sum(axis=0) ** 2
 
-    true_var = market.true_variances(W)
+    true_var = market.instance.true_variances(W)
     z = hclub_z(cell.tau, paper_z=cell.paper_z)
 
     per_estimator = {}
@@ -778,14 +845,15 @@ def default_workers() -> int:
 
 
 # bytes a task may hold in each kind of per-replication array: every
-# replication of a block keeps its Sigma_u and Sigma_true (16 N^2 bytes)
-# until its turn, and its factor chain (under 48 (VAR_BURN_IN + T) bytes)
+# replication of a block keeps its model instance until its turn, whose
+# coupled block of Sigma_u takes at most 8 N^2 bytes (the rest is O(N)),
+# and its factor chain (under 48 (VAR_BURN_IN + T) bytes)
 _BLOCK_BUDGET = 1 << 20
 
 
 def _block_size(N: int, T: int) -> int:
     """Replications per task for markets of N assets and T periods."""
-    return max(1, _BLOCK_BUDGET // max(16 * N * N, 48 * (VAR_BURN_IN + T)))
+    return max(1, _BLOCK_BUDGET // max(8 * N * N, 48 * (VAR_BURN_IN + T)))
 
 
 def _run_task(grid: tuple, markets: tuple, base_seed: int, task: tuple) -> list:

@@ -16,6 +16,10 @@ ensure_positive_definite_eigvalsh is the package's PD repair from before
 it let a failed Cholesky factorization reject a matrix: every verdict
 comes from the smallest eigenvalue.  It re-thresholds through the
 estimate's own recipe.
+dense_model_instance is the package's market assembly from before a
+model instance kept its error covariance in parts: it draws through the
+package's loading and dense error-covariance generators and forms the
+N x N true covariance.
 """
 
 import itertools
@@ -27,6 +31,7 @@ from scipy import special, stats
 from portrisk.errors import DataError, NumericalError
 from portrisk.estimators import CovarianceEstimate
 from portrisk.portfolios import Portfolio, SolverOptions, _exposure_value
+from portrisk.simulation import generate_error_cov, generate_loadings, solve_lyapunov
 
 
 def quantile_oracle(p: float) -> float:
@@ -338,3 +343,12 @@ def ensure_positive_definite_eigvalsh(estimate: CovarianceEstimate) -> Covarianc
         if candidate.min_eigenvalue > 1e-8:
             return candidate
     raise NumericalError(f"still not positive definite after 20 doublings (C={C:g})")
+
+
+def dense_model_instance(params, N: int, rng):
+    """(B, Sigma_u, Sigma_true, Sigma_eps) of one market, every matrix dense."""
+    B = generate_loadings(params, N, rng)
+    Sigma_u = generate_error_cov(params, N, rng)
+    Sigma_true = B @ params.cov_f @ B.T + Sigma_u
+    Sigma_eps = solve_lyapunov(params.Phi, params.cov_f)
+    return B, Sigma_u, Sigma_true, Sigma_eps

@@ -244,7 +244,7 @@ def test_criterion_09_variance_decomposition_ordering():
     inst = pr.build_model_instance(params, 10, rng)
     w = pr.sample_random_portfolio(10, 1.0, rng).weights
     R, T = 10_000, 20
-    root_eps = np.linalg.cholesky(inst.Sigma_eps + 1e-14 * np.eye(3))
+    root_eps = np.linalg.cholesky(params.Sigma_eps + 1e-14 * np.eye(3))
     root_u = np.linalg.cholesky(inst.Sigma_u)
     mu_st = np.linalg.solve(np.eye(3) - params.Phi, params.mu_f)
     x = np.tile(mu_st, (R, 1))

@@ -305,3 +305,35 @@ def test_wide_study_decomposes_and_solves_each_kept_estimate_once(monkeypatch):
         report = pr.run_empirical_study(returns, factors, cfg)
     assert calls == {"eigvalsh": 4, "solve": 4, "cholesky": 10}
     assert len(report.records) == 18
+
+
+def test_wide_study_solves_each_kkt_system_once(monkeypatch):
+    # the same study: the active-set finish returns the weights of the
+    # step on which the support settles instead of solving that support's
+    # KKT system again to certify it.  Of the 64 solves, 4 are the GMV
+    # solves of the test above, 2 the factor regressions and 58 KKT
+    # systems; before, the study made 76 solves, 12 of them repeats
+    import portrisk.portfolios as pf
+
+    _, returns, factors = calibrated_market(300, 252 + 2 * 21, 31)
+    solves, systems = [0], []
+    real_solve, real_kkt = np.linalg.solve, pf._kkt_solve
+
+    def solve(*args, **kwargs):
+        solves[0] += 1
+        return real_solve(*args, **kwargs)
+
+    def kkt(M, pattern, c):
+        systems.append((M, pattern.copy(), c))
+        return real_kkt(M, pattern, c)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(pf, "_kkt_solve", kkt)
+    cfg = pr.BacktestConfig(estimation_window=252, holding_window=21,
+                            exposures=(1.0, 1.6, 2.0))
+    with pytest.warns(RuntimeWarning, match="skipped 6 of 24"):
+        report = pr.run_empirical_study(returns, factors, cfg)
+    assert (solves[0], len(systems)) == (64, 58)
+    assert not any(a[0] is b[0] and np.array_equal(a[1], b[1]) and a[2] == b[2]
+                   for a, b in zip(systems, systems[1:]))
+    assert len(report.records) == 18

@@ -311,21 +311,29 @@ def test_kkt_check_rejects_a_negative_exposure_multiplier():
 
 def test_unsettled_active_set_falls_back_to_apg(monkeypatch):
     # flipping every sign means the support never settles; the solver
-    # must then finish with the certified APG answer of the old solver
+    # must then finish with the certified APG answer of the old solver.
+    # The active-set finish makes the first _ACTIVE_SET_STEPS solves; the
+    # KKT checks of APG after it solve for real
     calls = []
+    real_solve = pf._kkt_solve
 
     def never_settles(M, pattern, c):
         calls.append(pattern)
-        return -pattern
+        if len(calls) > pf._ACTIVE_SET_STEPS:
+            return real_solve(M, pattern, c)
+        return None, -pattern, True
 
-    monkeypatch.setattr(pf, "_active_set_step", never_settles)
+    monkeypatch.setattr(pf, "_kkt_solve", never_settles)
     est = _estimate(_factor_matrix(30, 2, 71))
+    steps = pf._ACTIVE_SET_STEPS
     for c in (1.0, 1.2, 1.6):
         calls.clear()
         want, certified = _oracle_solve(est, c)
         assert certified
         assert pr.min_variance(est, c).weights.tobytes() == want.tobytes()
-        assert len(calls) == pf._ACTIVE_SET_STEPS
+        # every step of the finish flipped the signs of the one before
+        assert len(calls) > steps
+        assert all(np.array_equal(b, -a) for a, b in zip(calls[:steps - 1], calls[1:steps]))
 
 
 @pytest.fixture(scope="module")

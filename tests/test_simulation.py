@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 import portrisk as pr
 import portrisk.simulation as sim
 from portrisk.assessment import _quad_forms
@@ -107,6 +108,19 @@ def test_calibration_validation():
         dataclasses.replace(base, sd_min=0.9, sd_max=0.5)
     with pytest.raises(pr.DataError, match="corr_cap"):
         dataclasses.replace(base, corr_cap=1.0)
+
+
+def test_calibration_solves_its_innovation_covariance_once():
+    # the nilpotent Phi of test_lyapunov_rejects_inconsistent_inputs has
+    # spectral radius 0 but needs a negative-definite innovation covariance
+    # with cov_f = I: construction fails, not the first factor draw
+    base = pr.default_calibration()
+    assert base.Sigma_eps is base.Sigma_eps
+    assert np.array_equal(base.Sigma_eps, pr.solve_lyapunov(base.Phi, base.cov_f))
+    Phi = np.zeros((3, 3))
+    Phi[0, 1] = 1.5
+    with pytest.raises(pr.DataError, match="no VAR.1. innovation covariance"):
+        dataclasses.replace(base, Phi=Phi, cov_f=np.eye(3))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -371,7 +385,7 @@ def test_build_model_instance_assembles_truth():
     assert np.array_equal(inst.Sigma_true, inst.B @ p.cov_f @ inst.B.T + inst.Sigma_u)
     assert np.linalg.eigvalsh(inst.Sigma_true)[0] > 0
     assert not inst.B.flags.writeable
-    assert np.array_equal(inst.Sigma_eps, pr.solve_lyapunov(p.Phi, p.cov_f))
+    assert np.array_equal(p.Sigma_eps, pr.solve_lyapunov(p.Phi, p.cov_f))
 
 
 def test_build_model_instance_consumption_order():
@@ -562,13 +576,56 @@ def test_block_error_product_and_true_variance_equal_the_dense_formulas(structur
         assert threshold == params.corr_cap and coupled.size == 0
 
     want = Z @ np.linalg.cholesky(Sigma_u).T
-    U = _correlated_errors(Z, Sigma_u)
+    U = _correlated_errors(Z, market.instance)
     np.testing.assert_allclose(U, want, rtol=1e-12, atol=0)
     assert np.array_equal(market.panel.values, F @ market.instance.B.T + U)
 
     W = pr.sample_random_weights(N, 1.6, pr.derive_rng(seed, "weights"), 40)
-    np.testing.assert_allclose(market.true_variances(W),
+    np.testing.assert_allclose(market.instance.true_variances(W),
                                _quad_forms(market.instance.Sigma_true, W), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("structure", ERROR_STRUCTURES)
+def test_model_instance_parts_and_matrices_equal_the_dense_build(structure):
+    # the parts are the dense matrices' entries, and each matrix property
+    # rebuilds the dense matrix bit for bit, on every access
+    changes, N, seed = ERROR_STRUCTURES[structure]
+    params = dataclasses.replace(pr.default_calibration(), **changes)
+    inst = pr.build_model_instance(params, N, pr.derive_rng(seed, "model", N, 60, 0))
+    B, Sigma_u, Sigma_true, Sigma_eps = oracles.dense_model_instance(
+        params, N, pr.derive_rng(seed, "model", N, 60, 0))
+    b = _coupled_rows(Sigma_u)
+    assert {"dense": b.size == N, "block": 0 < b.size < N, "diagonal": b.size == 0}[structure]
+    assert inst.B.tobytes() == B.tobytes()
+    assert inst.cov_f is params.cov_f
+    assert inst.error_var.tobytes() == np.diagonal(Sigma_u).tobytes()
+    assert np.array_equal(inst.coupled, b)
+    assert inst.coupled_block.tobytes() == Sigma_u[np.ix_(b, b)].tobytes()
+    assert inst.Sigma_u.tobytes() == Sigma_u.tobytes()
+    assert inst.Sigma_true.tobytes() == Sigma_true.tobytes()
+    assert params.Sigma_eps.tobytes() == Sigma_eps.tobytes()
+    assert inst.Sigma_u is not inst.Sigma_u and inst.Sigma_true is not inst.Sigma_true
+    for arr in (inst.Sigma_u, inst.Sigma_true, inst.error_var, inst.coupled,
+                inst.coupled_block, params.Sigma_eps):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 129, 196, 300, 301, 404])
+def test_max_abs_deviation_equals_the_dense_maximum(N):
+    # with some OpenBLAS kernels (scipy-openblas 0.3.31 on AVX-512) the
+    # products of 64-row blocks of B cov_f B' differ from the whole product
+    # in the last bit of some entries: a maximum over such blocks is not 0
+    # against the dense truth itself at N = 65, 129, 301 and 404 here
+    params = pr.default_calibration()
+    inst = pr.build_model_instance(params, N, pr.derive_rng(N, "deviation"))
+    Sigma_true = inst.Sigma_true
+    assert inst.max_abs_deviation(Sigma_true) == 0.0
+    X = pr.derive_rng(N, "panel").standard_normal((40, N))
+    S = X.T @ X / 40
+    spiked = Sigma_true.copy()
+    spiked[-1, -1] += 0.5
+    for M in (S, spiked, np.zeros((N, N))):
+        assert inst.max_abs_deviation(M) == np.max(np.abs(M - Sigma_true))
 
 
 def test_cell_in_market_group_equals_cell_alone():
@@ -709,10 +766,36 @@ def test_run_experiment_worker_count_invariance_where_blas_threads():
 
 
 def test_block_size_follows_the_memory_budget():
-    # covariances (16 N^2 bytes) or the factor chain (48 (500 + T) bytes),
-    # whichever is larger, per replication of a 1 MiB block
-    assert [_block_size(N, 300) for N in (1, 20, 100, 181, 182, 600)] == [27, 27, 6, 2, 1, 1]
+    # the coupled block at its largest (8 N^2 bytes) or the factor chain
+    # (48 (500 + T) bytes), whichever is larger, per replication of a
+    # 1 MiB block
+    assert ([_block_size(N, 300) for N in (1, 20, 69, 70, 100, 256, 257, 600)]
+            == [27, 27, 27, 26, 13, 2, 1, 1])
     assert _block_size(1, 100_000) == 1
+
+
+def test_replication_holds_at_most_two_n_by_n_arrays_above_its_market():
+    # the market keeps its error covariance in parts and no true
+    # covariance; a sample replication then holds its estimate and one
+    # N x N temporary for max |S - Sigma|.  Before, the market held Sigma_u
+    # and Sigma_true (2.2 N x N here) and the replication 3.2 N x N above it
+    import tracemalloc
+
+    N, T = 400, 60
+    cell = pr.ExperimentCell(N=N, T=T, c=1.5, estimators=("sample",), portfolios_per_rep=20)
+    square = 8 * N * N
+    tracemalloc.start()
+    try:
+        market = _Market(cell, 13, 0)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pr.run_replication(cell, 13, 0, market)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # the panel (T x N) and the instance's O(N) parts and small block
+    assert held < 0.5 * square, held / square
+    assert peak < 2.5 * square, peak / square
 
 
 def test_run_experiment_does_not_depend_on_block_size(monkeypatch):
