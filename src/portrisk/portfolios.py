@@ -226,14 +226,12 @@ def _kkt_solve(M: np.ndarray, pattern: np.ndarray, c: float):
     return full, nxt, mu >= -gtol
 
 
-def _certify_kkt(M: np.ndarray, pattern: np.ndarray, c: float, step=None):
+def _certify_kkt(M: np.ndarray, pattern: np.ndarray, c: float):
     """The optimal weights if the solution on the signed support `pattern`
-    satisfies the full KKT system, else None.  step is the _kkt_solve
-    result on `pattern` when the caller has it; otherwise it is solved."""
+    satisfies the full KKT system, else None."""
+    step = _kkt_solve(M, pattern, c)
     if step is None:
-        step = _kkt_solve(M, pattern, c)
-        if step is None:
-            return None
+        return None
     w, nxt, mu_ok = step
     return w if mu_ok and np.array_equal(nxt, pattern) else None
 
@@ -242,17 +240,18 @@ def _active_set(M: np.ndarray, pattern: np.ndarray, c: float):
     """Primal-dual active-set method (Hintermueller, Ito & Kunisch 2003)
     from a signed support.
 
-    Steps the support until it stops changing and returns the _certify_kkt
-    result of the step on which it settled, without solving that support
-    again; returns None when a system is singular or the support has not
-    settled within _ACTIVE_SET_STEPS steps.
+    Steps the support until it stops changing; the step on which it settled
+    is the _certify_kkt check of that support, so its weights are returned
+    if its exposure multiplier is admissible, without solving again.
+    Returns None when a system is singular, the multiplier is negative or
+    the support has not settled within _ACTIVE_SET_STEPS steps.
     """
     for _ in range(_ACTIVE_SET_STEPS):
         step = _kkt_solve(M, pattern, c)
         if step is None:
             return None
         if np.array_equal(step[1], pattern):
-            return _certify_kkt(M, pattern, c, step)
+            return step[0] if step[2] else None
         pattern = step[1]
     return None
 

@@ -415,16 +415,15 @@ def _coupled_rows(matrix: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.count_nonzero(matrix, axis=1) > (np.diagonal(matrix) != 0))
 
 
-def generate_error_cov(params: CalibrationParams, N: int, rng, parts: bool = False):
-    """Sparse-by-construction PD error covariance D * Sigma0 * D.
+def generate_error_cov(params: CalibrationParams, N: int, rng):
+    """Sparse-by-construction PD error covariance Sigma_u = D * Sigma0 * D,
+    in the parts a ModelInstance keeps, without forming the N x N matrix.
 
-    With parts=True it returns what a ModelInstance keeps of that N x N
-    matrix instead, without forming it: the error variances (its
-    diagonal), the sorted rows b that keep an off-diagonal entry, and the
-    block Sigma_u[b, b], each entry the product the matrix holds.
+    Returns (error_var, coupled, coupled_block): the error variances (the
+    diagonal of Sigma_u), the sorted rows b that keep an off-diagonal
+    entry, and the block Sigma_u[b, b], each entry the product the dense
+    matrix _error_cov_detail returns holds.
     """
-    if not parts:
-        return _error_cov_detail(params, N, rng)[0]
     sds, corr, _ = _error_corr(params, N, rng)
     b = _coupled_rows(corr)
     return sds * sds, b, corr[np.ix_(b, b)] * np.outer(sds[b], sds[b])
@@ -559,7 +558,7 @@ def build_model_instance(params: CalibrationParams, N: int, rng) -> ModelInstanc
     parts (see ModelInstance), and the true covariance is not formed.
     """
     B = generate_loadings(params, N, rng)
-    error_var, coupled, coupled_block = generate_error_cov(params, N, rng, parts=True)
+    error_var, coupled, coupled_block = generate_error_cov(params, N, rng)
     return ModelInstance(B=B, cov_f=params.cov_f, error_var=error_var,
                          coupled=coupled, coupled_block=coupled_block)
 

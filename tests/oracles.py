@@ -31,7 +31,7 @@ from scipy import special, stats
 from portrisk.errors import DataError, NumericalError
 from portrisk.estimators import CovarianceEstimate
 from portrisk.portfolios import Portfolio, SolverOptions, _exposure_value
-from portrisk.simulation import generate_error_cov, generate_loadings, solve_lyapunov
+from portrisk.simulation import _error_cov_detail, generate_loadings, solve_lyapunov
 
 
 def quantile_oracle(p: float) -> float:
@@ -348,7 +348,7 @@ def ensure_positive_definite_eigvalsh(estimate: CovarianceEstimate) -> Covarianc
 def dense_model_instance(params, N: int, rng):
     """(B, Sigma_u, Sigma_true, Sigma_eps) of one market, every matrix dense."""
     B = generate_loadings(params, N, rng)
-    Sigma_u = generate_error_cov(params, N, rng)
+    Sigma_u = _error_cov_detail(params, N, rng)[0]
     Sigma_true = B @ params.cov_f @ B.T + Sigma_u
     Sigma_eps = solve_lyapunov(params.Phi, params.cov_f)
     return B, Sigma_u, Sigma_true, Sigma_eps

@@ -203,17 +203,23 @@ def test_generate_loadings_degenerate_dispersion():
 
 def test_error_cov_zero_correlation_is_diagonal():
     p = dataclasses.replace(pr.default_calibration(), corr_mean=0.0, corr_sd=0.0)
-    S = pr.generate_error_cov(p, 12, pr.derive_rng(175, "diag"))
+    S = _error_cov_detail(p, 12, pr.derive_rng(175, "diag"))[0]
     off = ~np.eye(12, dtype=bool)
     assert np.all(S[off] == 0.0)
     assert np.all(np.diag(S) >= p.sd_min ** 2)
     assert np.all(np.diag(S) <= p.sd_max ** 2)
+    error_var, coupled, block = pr.generate_error_cov(p, 12, pr.derive_rng(175, "diag"))
+    assert np.array_equal(error_var, np.diag(S))
+    assert coupled.size == 0 and block.shape == (0, 0)
 
 
 def test_error_cov_positive_definite_at_scale():
-    S = pr.generate_error_cov(pr.default_calibration(), 100,
-                              np.random.default_rng(55))
+    S = _error_cov_detail(pr.default_calibration(), 100, np.random.default_rng(55))[0]
     assert np.linalg.eigvalsh(S)[0] > 0
+    error_var, coupled, block = pr.generate_error_cov(
+        pr.default_calibration(), 100, np.random.default_rng(55))
+    assert np.array_equal(error_var, np.diag(S))
+    assert np.array_equal(block, S[np.ix_(coupled, coupled)])
 
 
 def _raw_error_corr(params, N, rng):
@@ -393,9 +399,11 @@ def test_build_model_instance_consumption_order():
     inst = pr.build_model_instance(p, 25, pr.derive_rng(181, "order"))
     replay = pr.derive_rng(181, "order")
     B = pr.generate_loadings(p, 25, replay)
-    S_u = pr.generate_error_cov(p, 25, replay)
+    error_var, coupled, block = pr.generate_error_cov(p, 25, replay)
     assert np.array_equal(inst.B, B)
-    assert np.array_equal(inst.Sigma_u, S_u)
+    assert np.array_equal(inst.error_var, error_var)
+    assert np.array_equal(inst.coupled, coupled)
+    assert np.array_equal(inst.coupled_block, block)
 
 
 # ------------------------------------------------------- replication record
