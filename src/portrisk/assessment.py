@@ -70,62 +70,20 @@ DEFAULT_LAGS = 5
 # backtest silence the per-call warnings and report their own totals
 _CLAMPED_WARNING = "truncated long-run variance was negative"
 
-# Rational minimax approximation to the standard normal inverse CDF
-# (Wichura's PPND16).  Absolute error is below 1e-15 over the full range,
-# well inside the 1e-9 budget the quantile contract requires.
-_PPND_A = (
-    3.3871328727963666080, 1.3314166789178437745e2, 1.9715909503065514427e3,
-    1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-    3.3430575583588128105e4, 2.5090809287301226727e3,
-)
-_PPND_B = (
-    1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
-    2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
-    5.2264952788528545610e3,
-)
-_PPND_C = (
-    1.42343711074968357734, 4.63033784615654529590, 5.76949722146069140550,
-    3.64784832476320460504, 1.27045825245236838258, 2.41780725177450611770e-1,
-    2.27238449892691845833e-2, 7.74545014278341407640e-4,
-)
-_PPND_D = (
-    1.0, 2.05319162663775882187, 1.67638483018380384940, 6.89767334985100004550e-1,
-    1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
-    1.05075007164441684324e-9,
-)
-_PPND_E = (
-    6.65790464350110377720, 5.46378491116411436990, 1.78482653991729133580,
-    2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-    2.71155556874348757815e-5, 2.01033439929228813265e-7,
-)
-_PPND_F = (
-    1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
-    7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
-    2.04426310338993978564e-15,
-)
-
-
-def _poly(coeffs, r: float) -> float:
-    out = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        out = out * r + c
-    return out
-
 
 def normal_upper_quantile(p: float) -> float:
-    """The z with P(Z > z) = p for a standard normal, 0 < p < 0.5."""
+    """The z with P(Z > z) = p for a standard normal, 0 < p < 0.5.
+
+    statistics.NormalDist.inv_cdf computes it by Wichura's algorithm AS241
+    (PPND16), accurate to about 1 part in 1e16.  statistics is imported
+    here, on first use: its import is slow and the rounded paper z never
+    needs it.
+    """
     if not 0.0 < p < 0.5:
         raise DataError(f"upper-tail probability must lie in (0, 0.5), got {p}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return -q * _poly(_PPND_A, r) / _poly(_PPND_B, r)
-    r = math.sqrt(-math.log(p))
-    if r <= 5.0:
-        r -= 1.6
-        return _poly(_PPND_C, r) / _poly(_PPND_D, r)
-    r -= 5.0
-    return _poly(_PPND_E, r) / _poly(_PPND_F, r)
+    from statistics import NormalDist
+
+    return -NormalDist().inv_cdf(p)
 
 
 @dataclass(frozen=True)

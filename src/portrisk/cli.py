@@ -5,13 +5,15 @@ call the library, serialize results.  estimate and hclub build one
 EstimatorSpec from their flags; empirical takes its defaults from
 BacktestConfig.  Exit codes: 0 success, 1 usage errors, 2 data errors
 (unreadable or ill-formed inputs), 3 numerical failures (singular
-matrices, non-convergence).
+matrices, non-convergence); a closed stdout (portrisk report | head)
+ends the run quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -367,8 +369,9 @@ def _cmd_report(args) -> int:
                             f"the header {len(header)}")
 
     def fmt(value):
+        # an integer (N, T) as written, any other number to four digits
         try:
-            return f"{float(value):.4g}"
+            return value if value.strip().lstrip("+-").isdecimal() else f"{float(value):.4g}"
         except ValueError:
             return value
 
@@ -394,7 +397,15 @@ def main(argv=None) -> int:
             level=logging.DEBUG if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader left (portrisk report | head): keep the exit flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ downstream assumes a complete panel, so nothing is imputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,38 +64,53 @@ def _check_dates(dates: tuple[str, ...]) -> None:
             )
 
 
+class _Panel:
+    """Checks and row slicing shared by ReturnsPanel and FactorPanel: a
+    subclass names its column-label field (_COLUMNS), one column (_NOUN),
+    the panel (_KIND) and, with _MIN_ROWS = 2, needs at least two rows."""
+
+    _MIN_ROWS = 0
+
+    def __post_init__(self):
+        dates, names = tuple(self.dates), tuple(getattr(self, self._COLUMNS))
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, self._COLUMNS, names)
+        values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        if values.shape != (len(dates), len(names)):
+            raise DataError(
+                f"value matrix shape {values.shape} does not match "
+                f"{len(dates)} dates x {len(names)} {self._NOUN}s"
+            )
+        if len(dates) < self._MIN_ROWS:
+            raise DataError(f"a {self._KIND} panel needs at least two rows")
+        if not names:
+            raise DataError(f"a {self._KIND} panel needs at least one {self._NOUN}")
+        if not np.all(np.isfinite(values)):
+            t, j = np.argwhere(~np.isfinite(values))[0]
+            raise DataError(
+                f"non-finite value at date {dates[t]!r}, {self._NOUN} {names[j]!r}"
+            )
+        _check_dates(dates)
+        object.__setattr__(self, "values", _freeze(values))
+
+    @property
+    def T(self) -> int:
+        return self.values.shape[0]
+
+    def slice_rows(self, start: int, stop: int):
+        """The panel on rows start:stop."""
+        return replace(self, dates=self.dates[start:stop], values=self.values[start:stop])
+
+
 @dataclass(frozen=True)
-class ReturnsPanel:
+class ReturnsPanel(_Panel):
     """T x N panel of per-period returns for N assets."""
 
     dates: tuple[str, ...]
     assets: tuple[str, ...]
     values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "assets", tuple(self.assets))
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if values.shape != (len(self.dates), len(self.assets)):
-            raise DataError(
-                f"value matrix shape {values.shape} does not match "
-                f"{len(self.dates)} dates x {len(self.assets)} assets"
-            )
-        if len(self.dates) < 2:
-            raise DataError("a returns panel needs at least two rows")
-        if len(self.assets) < 1:
-            raise DataError("a returns panel needs at least one asset")
-        if not np.all(np.isfinite(values)):
-            t, n = np.argwhere(~np.isfinite(values))[0]
-            raise DataError(
-                f"non-finite value at date {self.dates[t]!r}, asset {self.assets[n]!r}"
-            )
-        _check_dates(self.dates)
-        object.__setattr__(self, "values", _freeze(values))
-
-    @property
-    def T(self) -> int:
-        return self.values.shape[0]
+    _COLUMNS, _NOUN, _KIND, _MIN_ROWS = "assets", "asset", "returns", 2
 
     @property
     def N(self) -> int:
@@ -110,48 +125,20 @@ class ReturnsPanel:
             object.__setattr__(self, "_demeaned", cached)
         return cached
 
-    def slice_rows(self, start: int, stop: int) -> "ReturnsPanel":
-        return ReturnsPanel(self.dates[start:stop], self.assets, self.values[start:stop])
-
 
 @dataclass(frozen=True)
-class FactorPanel:
+class FactorPanel(_Panel):
     """T x K panel of factor observations."""
 
     dates: tuple[str, ...]
     factor_names: tuple[str, ...]
     values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "factor_names", tuple(self.factor_names))
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if values.shape != (len(self.dates), len(self.factor_names)):
-            raise DataError(
-                f"value matrix shape {values.shape} does not match "
-                f"{len(self.dates)} dates x {len(self.factor_names)} factors"
-            )
-        if len(self.factor_names) < 1:
-            raise DataError("a factor panel needs at least one factor")
-        if not np.all(np.isfinite(values)):
-            t, k = np.argwhere(~np.isfinite(values))[0]
-            raise DataError(
-                f"non-finite value at date {self.dates[t]!r}, "
-                f"factor {self.factor_names[k]!r}"
-            )
-        _check_dates(self.dates)
-        object.__setattr__(self, "values", _freeze(values))
-
-    @property
-    def T(self) -> int:
-        return self.values.shape[0]
+    _COLUMNS, _NOUN, _KIND = "factor_names", "factor", "factor"
 
     @property
     def K(self) -> int:
         return self.values.shape[1]
-
-    def slice_rows(self, start: int, stop: int) -> "FactorPanel":
-        return FactorPanel(self.dates[start:stop], self.factor_names, self.values[start:stop])
 
 
 @dataclass(frozen=True)
@@ -351,15 +338,9 @@ def align_panels(returns: ReturnsPanel, factors: FactorPanel):
     if tuple(common) == returns.dates == factors.dates:
         return returns, factors
     keep = set(common)
-    r_idx = [i for i, d in enumerate(returns.dates) if d in keep]
-    f_idx = [i for i, d in enumerate(factors.dates) if d in keep]
-    out_r = ReturnsPanel(
-        [returns.dates[i] for i in r_idx], returns.assets, returns.values[r_idx]
-    )
-    out_f = FactorPanel(
-        [factors.dates[i] for i in f_idx], factors.factor_names, factors.values[f_idx]
-    )
-    return out_r, out_f
+    return tuple(replace(panel, dates=[d for d in panel.dates if d in keep],
+                         values=panel.values[[d in keep for d in panel.dates]])
+                 for panel in (returns, factors))
 
 
 def demean(panel: ReturnsPanel) -> ReturnsPanel:

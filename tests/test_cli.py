@@ -440,3 +440,38 @@ def test_report_skips_an_indented_comment_line(tmp_path, capsys):
     indented.write_bytes(b"  # copied from a run\n" + cells.read_bytes())
     assert main(["report", "--cells", str(indented)]) == 0
     assert capsys.readouterr().out == plain
+
+
+@pytest.fixture
+def cells_file(tmp_path, capsys):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(SIM_CONFIG)
+    assert main(["--output-dir", str(tmp_path), "--threads", "1",
+                 "simulate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    return tmp_path / "experiment_cells.csv"
+
+
+def test_report_prints_integer_cells_as_written(cells_file, capsys):
+    lines = cells_file.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("sample,"))
+    fields = lines[row].split(",")
+    fields[1] = "12345"
+    lines[row] = ",".join(fields)
+    cells_file.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--cells", str(cells_file)]) == 0
+    assert capsys.readouterr().out.splitlines()[2].startswith("| sample | 12345 | 24 | 1 |")
+
+
+def test_report_into_a_closed_pipe_exits_0_quietly(cells_file):
+    src = os.path.dirname(os.path.dirname(pr.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "portrisk.cli", "report", "--cells", str(cells_file)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -123,3 +123,17 @@ def test_engine_names_resolve_on_the_cli_module_and_simulate_calls_them_there(
                      "--config", str(tmp_path / "grid.cfg")]) == 0
     capsys.readouterr()
     assert calls == ["parse_grid_config", "run_experiment"]
+
+
+def test_cli_import_and_paper_z_simulate_leave_statistics_unloaded(tmp_path):
+    # statistics (and its fractions and decimal) loads only for an exact quantile
+    (tmp_path / "grid.cfg").write_text("Ns = 6\nTs = 30\ncs = 1\nreplications = 1\n"
+                                       "portfolios_per_rep = 3\n", encoding="utf-8")
+    assert "statistics" not in _modules_after("import portrisk.cli")
+    loaded = _modules_after(
+        "from portrisk.cli import main\n"
+        "assert main(['--threads', '1', 'simulate', '--config', 'grid.cfg']) == 0\n"
+        "assert 'statistics' not in sys.modules\n"
+        "from portrisk import normal_upper_quantile\n"
+        "assert normal_upper_quantile(0.025) > 1.95", tmp_path)
+    assert "statistics" in loaded

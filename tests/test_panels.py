@@ -243,6 +243,39 @@ def test_panel_rejects_nonfinite_and_bad_dates():
         make_panel(np.zeros((1, 2)))  # T must be at least 2
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("cls, dates, names, values, message", [
+    (pr.ReturnsPanel, ("d1", "d2"), ("a", "b"), [[1.0], [2.0]],
+     "value matrix shape (2, 1) does not match 2 dates x 2 assets"),
+    (pr.FactorPanel, ("d1", "d2"), ("f", "g"), [[1.0], [2.0]],
+     "value matrix shape (2, 1) does not match 2 dates x 2 factors"),
+    (pr.ReturnsPanel, ("d1",), (), np.zeros((1, 0)), "a returns panel needs at least two rows"),
+    (pr.ReturnsPanel, ("d1", "d2"), (), np.zeros((2, 0)),
+     "a returns panel needs at least one asset"),
+    (pr.FactorPanel, ("d1",), (), np.zeros((1, 0)), "a factor panel needs at least one factor"),
+    (pr.ReturnsPanel, ("d2", "d1"), ("a", "b"), [[1.0, 2.0], [3.0, NAN]],
+     "non-finite value at date 'd1', asset 'b'"),
+    (pr.FactorPanel, ("d2", "d1"), ("f", "g"), [[NAN, 2.0], [3.0, 4.0]],
+     "non-finite value at date 'd2', factor 'f'"),
+    (pr.FactorPanel, ("d2", "d1"), ("f",), [[1.0], [2.0]],
+     "dates must be strictly increasing: 'd1' follows 'd2'"),
+])
+def test_panel_checks_in_order_with_their_messages(cls, dates, names, values, message):
+    with pytest.raises(pr.DataError) as err:
+        cls(dates, names, values)
+    assert str(err.value) == message
+
+
+def test_one_row_factor_panel_and_its_slice():
+    fpanel = pr.FactorPanel(["d1", "d2", "d3"], ["f"], [[1.0], [2.0], [3.0]])
+    part = fpanel.slice_rows(2, 3)
+    assert type(part) is pr.FactorPanel and part.dates == ("d3",)
+    assert part.factor_names == ("f",) and part.values.tolist() == [[3.0]]
+    assert not part.values.flags.writeable
+
+
 def test_slice_rows_keeps_labels():
     panel = make_panel([[0.1, 1.0], [0.2, 2.0], [0.3, 3.0], [0.4, 4.0]])
     part = panel.slice_rows(1, 3)
