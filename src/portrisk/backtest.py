@@ -32,7 +32,8 @@ from .blas import single_thread
 from .errors import DataError, NumericalError, PortriskError
 from .estimators import ESTIMATOR_NAMES, ensure_positive_definite, portfolio_variance
 from .panels import FactorPanel, ReturnsPanel, align_panels
-from .portfolios import _check_periods_per_year, _exposure_value, equal_weight, min_variance
+from .portfolios import (DEFAULT_PERIODS_PER_YEAR, _check_periods_per_year, _exposure_value,
+                         equal_weight, min_variance)
 
 __all__ = [
     "BacktestConfig",
@@ -79,7 +80,7 @@ class BacktestConfig:
     poet_C: float | None = None
     poet_rule: str | None = None
     poet_k_max: int = EstimatorSpec.k_max
-    periods_per_year: float = 252.0
+    periods_per_year: float = DEFAULT_PERIODS_PER_YEAR
 
     def __post_init__(self):
         if self.estimation_window < 2:
@@ -150,6 +151,15 @@ class StrategyAggregate:
     mean_estimated_error_annual: float
     mean_realized_error_annual: float
     coverage: float
+
+
+# StrategyAggregate field: the RebalanceRecord risk it averages over windows
+_ANNUAL_MEANS = {
+    "mean_risk_hat_annual": "risk_hat",
+    "mean_realized_risk_annual": "realized_risk",
+    "mean_estimated_error_annual": "u_risk",
+    "mean_realized_error_annual": "risk_error",
+}
 
 
 @dataclass(frozen=True)
@@ -291,20 +301,11 @@ def run_empirical_study(
                     if x.strategy == strategy and x.estimator == name]
             if not rows:
                 continue
+            means = {field: annualize_risk(float(np.mean([getattr(x, attr) for x in rows])), ppy)
+                     for field, attr in _ANNUAL_MEANS.items()}
             aggregates.append(StrategyAggregate(
-                strategy=strategy,
-                estimator=name,
-                n_windows=len(rows),
-                mean_risk_hat_annual=annualize_risk(
-                    float(np.mean([x.risk_hat for x in rows])), ppy),
-                mean_realized_risk_annual=annualize_risk(
-                    float(np.mean([x.realized_risk for x in rows])), ppy),
-                mean_estimated_error_annual=annualize_risk(
-                    float(np.mean([x.u_risk for x in rows])), ppy),
-                mean_realized_error_annual=annualize_risk(
-                    float(np.mean([x.risk_error for x in rows])), ppy),
-                coverage=float(np.mean([x.covered for x in rows])),
-            ))
+                strategy=strategy, estimator=name, n_windows=len(rows),
+                coverage=float(np.mean([x.covered for x in rows])), **means))
 
     return BacktestReport(
         config=config,

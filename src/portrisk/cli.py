@@ -4,9 +4,10 @@ Subcommands mirror the library one to one and stay thin: parse flags,
 call the library, serialize results.  estimate and hclub build one
 EstimatorSpec from their flags; empirical takes its defaults from
 BacktestConfig.  Exit codes: 0 success, 1 usage errors, 2 data errors
-(unreadable or ill-formed inputs), 3 numerical failures (singular
-matrices, non-convergence); a closed stdout (portrisk report | head)
-ends the run quietly with 0.
+(ill-formed inputs, and paths that cannot be read or written: a missing
+file, a directory given as a file, a file given as --output-dir), 3
+numerical failures (singular matrices, non-convergence); a closed stdout
+(portrisk report | head) ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .estimators import ESTIMATOR_NAMES, THRESHOLD_RULES, portfolio_variance
 from .panels import ParseConfig, load_factors_csv, load_returns_csv
 from .portfolios import Portfolio, equal_weight, sample_random_weights
 from .reporting import (
+    _EXPERIMENT_MARKDOWN,
     _markdown_table,
     backtest_markdown,
     backtest_records_csv,
@@ -37,6 +39,7 @@ from .reporting import (
     experiment_markdown,
 )
 from .serialization import (
+    default_asset_labels,
     make_header_lines,
     read_csv,
     read_portfolio_csv,
@@ -292,8 +295,9 @@ def _cmd_sample_portfolios(args) -> int:
     # one column per portfolio, drawn in full before the file is opened
     W = sample_random_weights(args.n_assets, args.exposure, rng, P=args.count)
     path = _outdir(args) / (args.out or "portfolios.csv")
+    assets = default_asset_labels(args.n_assets)
     write_csv(path, make_header_lines(seed=_seed(args)), ("portfolio", "asset", "weight"),
-              ((i, f"a{j:04d}", w) for i, col in enumerate(W.T) for j, w in enumerate(col)))
+              ((i, a, w) for i, col in enumerate(W.T) for a, w in zip(assets, col)))
     print(f"wrote {path} ({args.count} portfolios, N={args.n_assets}, "
           f"exposure {args.exposure:g})")
     return 0
@@ -357,10 +361,10 @@ def _cmd_report(args) -> int:
     if len(rows) < 2:
         raise DataError(f"{args.cells}: no data rows")
     header, body = rows[0], rows[1:]
-    keep = ("estimator", "N", "T", "c", "mean_delta", "mean_u", "mean_xi",
-            "mean_re1", "mean_re2", "coverage")
+    # the columns of simulate's markdown table, under their CSV names
+    fields = [field for _, field in _EXPERIMENT_MARKDOWN]
     try:
-        idx = [header.index(k) for k in keep]
+        idx = [header.index(field) for field in fields]
     except ValueError as exc:
         raise DataError(f"{args.cells}: {exc}") from None
     for i, row in enumerate(body, start=1):
@@ -375,7 +379,7 @@ def _cmd_report(args) -> int:
         except ValueError:
             return value
 
-    print(_markdown_table(keep, ([fmt(row[i]) for i in idx] for row in body)))
+    print(_markdown_table(fields, ([fmt(row[i]) for i in idx] for row in body)))
     return 0
 
 
@@ -409,15 +413,13 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
+        # OSError: a path that cannot be read or written (missing, a directory)
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .errors import DataError, NumericalError
 from .estimators import CovarianceEstimate
 
 __all__ = [
+    "DEFAULT_PERIODS_PER_YEAR",
     "Portfolio",
     "SolverOptions",
     "sample_random_portfolio",
@@ -60,6 +61,10 @@ def _exposure_value(c) -> float:
     if not 1.0 <= value < math.inf:
         raise DataError(f"gross exposure must be a finite number at least 1, got c={value}")
     return value
+
+
+# daily data: the default of every periods_per_year setting
+DEFAULT_PERIODS_PER_YEAR = 252.0
 
 
 def _check_periods_per_year(periods_per_year: float) -> None:

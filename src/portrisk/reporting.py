@@ -1,16 +1,19 @@
 """Tables and summaries for experiment and backtest results.
 
-CSV writers mirror the aggregate dataclasses one row per cell; markdown
-renderers produce compact tables for terminal or report use.  Risk
-columns marked annual are scaled by sqrt(periods per year) and keep the
-units of the underlying data.
+Each CSV writer but the figures table writes one row per result record,
+its columns the fields of the record's dataclass in declared order;
+markdown renderers produce compact tables for terminal or report use.
+Risk columns marked annual are scaled by sqrt(periods per year) and keep
+the units of the underlying data.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
-from .backtest import BacktestReport, annualize_risk
+from .backtest import BacktestReport, RebalanceRecord, StrategyAggregate, annualize_risk
+from .portfolios import DEFAULT_PERIODS_PER_YEAR
 from .serialization import write_csv
 
 if TYPE_CHECKING:
@@ -25,22 +28,23 @@ __all__ = [
     "backtest_markdown",
 ]
 
-_CELL_COLUMNS = (
-    "estimator", "N", "T", "c", "L", "tau", "replications", "n_records",
-    "mean_delta", "sd_delta", "mean_xi", "sd_xi", "mean_u", "sd_u",
-    "mean_re1", "sd_re1", "mean_re2", "sd_re2",
-    "mean_true_risk", "sd_true_risk", "coverage", "clamped_count",
-)
+
+def _write_table(path, header_lines, cls, items):
+    """One row per item of dataclass cls; the columns are cls's fields."""
+    columns = tuple(f.name for f in fields(cls))
+    write_csv(path, header_lines, columns,
+              (tuple(getattr(item, col) for col in columns) for item in items))
 
 
 def experiment_cells_csv(report: ExperimentReport, path, header_lines=()):
     """One row per (cell, estimator) aggregate, in grid order."""
-    rows = [tuple(getattr(agg, col) for col in _CELL_COLUMNS) for agg in report.cells]
-    write_csv(path, header_lines, _CELL_COLUMNS, rows)
+    from .simulation import CellAggregate
+
+    _write_table(path, header_lines, CellAggregate, report.cells)
 
 
-def experiment_figures_csv(report: ExperimentReport, path, periods_per_year=252.0,
-                           header_lines=()):
+def experiment_figures_csv(report: ExperimentReport, path,
+                           periods_per_year=DEFAULT_PERIODS_PER_YEAR, header_lines=()):
     """Per-cell means of Delta, U, xi plus the annualized true risk."""
     cols = ("N", "T", "c", "estimator", "mean_delta", "mean_u", "mean_xi",
             "annual_true_risk")
@@ -65,67 +69,51 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _markdown(columns, items) -> str:
+    """A markdown table of items: a (label, field) pair per column."""
+    return _markdown_table([label for label, _ in columns],
+                           ([_fmt(getattr(item, field)) for _, field in columns]
+                            for item in items))
+
+
+# (label, CellAggregate field) per column; `portrisk report` shows the same
+# fields of a saved cells table, under their field names
+_EXPERIMENT_MARKDOWN = (
+    ("estimator", "estimator"), ("N", "N"), ("T", "T"), ("c", "c"),
+    ("mean Delta", "mean_delta"), ("mean U", "mean_u"), ("mean xi", "mean_xi"),
+    ("RE1", "mean_re1"), ("RE2", "mean_re2"), ("coverage", "coverage"),
+)
+
+
 def experiment_markdown(report: ExperimentReport) -> str:
     """Markdown summary: one table row per (cell, estimator)."""
-    cols = ("estimator", "N", "T", "c", "mean Delta", "mean U", "mean xi",
-            "RE1", "RE2", "coverage")
-    rows = [
-        tuple(_fmt(v) for v in (
-            agg.estimator, agg.N, agg.T, agg.c, agg.mean_delta, agg.mean_u,
-            agg.mean_xi, agg.mean_re1, agg.mean_re2, agg.coverage,
-        ))
-        for agg in report.cells
-    ]
     head = (f"Replication study: {report.replications} replications per cell, "
             f"base seed {report.base_seed}.\n\n")
-    return head + _markdown_table(cols, rows) + "\n"
-
-
-_RECORD_COLUMNS = (
-    "index", "hold_start", "strategy", "estimator", "gross",
-    "variance_hat", "risk_hat", "sigma2_hat", "u_variance", "u_risk",
-    "realized_variance", "realized_risk", "risk_error", "covered", "clamped",
-)
+    return head + _markdown(_EXPERIMENT_MARKDOWN, report.cells) + "\n"
 
 
 def backtest_records_csv(report: BacktestReport, path, header_lines=()):
-    rows = [
-        tuple(getattr(rec, col) for col in _RECORD_COLUMNS)
-        for rec in report.records
-    ]
-    write_csv(path, header_lines, _RECORD_COLUMNS, rows)
-
-
-_SUMMARY_COLUMNS = (
-    "strategy", "estimator", "n_windows",
-    "mean_risk_hat_annual", "mean_realized_risk_annual",
-    "mean_estimated_error_annual", "mean_realized_error_annual", "coverage",
-)
+    _write_table(path, header_lines, RebalanceRecord, report.records)
 
 
 def backtest_summary_csv(report: BacktestReport, path, header_lines=()):
-    rows = [
-        tuple(getattr(agg, col) for col in _SUMMARY_COLUMNS)
-        for agg in report.aggregates
-    ]
-    write_csv(path, header_lines, _SUMMARY_COLUMNS, rows)
+    _write_table(path, header_lines, StrategyAggregate, report.aggregates)
+
+
+# (label, StrategyAggregate field) per column
+_BACKTEST_MARKDOWN = (
+    ("strategy", "strategy"), ("estimator", "estimator"), ("windows", "n_windows"),
+    ("predicted risk/yr", "mean_risk_hat_annual"),
+    ("realized risk/yr", "mean_realized_risk_annual"),
+    ("est. error/yr", "mean_estimated_error_annual"),
+    ("realized error/yr", "mean_realized_error_annual"), ("coverage", "coverage"),
+)
 
 
 def backtest_markdown(report: BacktestReport) -> str:
-    cols = ("strategy", "estimator", "windows", "predicted risk/yr",
-            "realized risk/yr", "est. error/yr", "realized error/yr", "coverage")
-    rows = [
-        tuple(_fmt(v) for v in (
-            agg.strategy, agg.estimator, agg.n_windows,
-            agg.mean_risk_hat_annual, agg.mean_realized_risk_annual,
-            agg.mean_estimated_error_annual, agg.mean_realized_error_annual,
-            agg.coverage,
-        ))
-        for agg in report.aggregates
-    ]
     head = (f"Rolling study over {report.n_rebalances} rebalances of "
             f"{report.n_assets} assets, holding {report.config.holding_window} "
             f"periods from {report.first_hold_date} to {report.last_date}.\n")
     if report.skipped:
         head += f"Skipped cases: {len(report.skipped)}.\n"
-    return head + "\n" + _markdown_table(cols, rows) + "\n"
+    return head + "\n" + _markdown(_BACKTEST_MARKDOWN, report.aggregates) + "\n"

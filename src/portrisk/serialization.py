@@ -31,6 +31,7 @@ __all__ = [
     "write_csv",
     "read_csv",
     "make_header_lines",
+    "default_asset_labels",
     "write_covariance_csv",
     "read_covariance_csv",
     "write_covariance_binary",
@@ -84,6 +85,11 @@ def make_header_lines(seed=None, config_hash=None, extra=()) -> list:
     return lines
 
 
+def default_asset_labels(n: int) -> tuple:
+    """The names a0000, a0001, ... written for n unnamed assets."""
+    return tuple(f"a{i:04d}" for i in range(n))
+
+
 def _matrix_and_names(estimate_or_matrix, assets):
     matrix = np.asarray(getattr(estimate_or_matrix, "matrix", estimate_or_matrix),
                         dtype=float)
@@ -91,7 +97,7 @@ def _matrix_and_names(estimate_or_matrix, assets):
         raise DataError(f"covariance must be square, got shape {matrix.shape}")
     n = matrix.shape[0]
     if assets is None:
-        assets = tuple(f"a{i:04d}" for i in range(n))
+        assets = default_asset_labels(n)
     assets = tuple(str(a) for a in assets)
     if len(assets) != n:
         raise DataError(f"{len(assets)} asset names for a {n}x{n} matrix")
@@ -156,7 +162,7 @@ def read_covariance_binary(path) -> np.ndarray:
 def write_portfolio_csv(path, portfolio, assets=None, header_lines=()):
     weights = np.asarray(getattr(portfolio, "weights", portfolio), dtype=float)
     if assets is None:
-        assets = tuple(f"a{i:04d}" for i in range(weights.size))
+        assets = default_asset_labels(weights.size)
     if len(assets) != weights.size:
         raise DataError(f"{len(assets)} asset names for {weights.size} weights")
     write_csv(path, header_lines, ("asset", "weight"), zip(assets, weights))

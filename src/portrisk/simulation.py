@@ -74,12 +74,14 @@ from .errors import DataError, NumericalError
 from .estimators import ESTIMATOR_NAMES
 from .panels import FactorPanel, ReturnsPanel
 from .portfolios import (
+    DEFAULT_PERIODS_PER_YEAR,
     _check_periods_per_year,
     _exposure_value,
     sample_random_portfolio,
     sample_random_weights,
 )
 from .rng import derive_rng
+from .serialization import default_asset_labels
 
 __all__ = [
     "CalibrationParams",
@@ -644,7 +646,7 @@ def _generate_markets(params: CalibrationParams, N: int, T: int, base_seed: int,
     instances = [build_model_instance(params, N, rng) for rng in rngs]
     factors = generate_var1_factors(params, T, rngs)
     dates = tuple(f"t{t:06d}" for t in range(T))
-    assets = tuple(f"a{i:04d}" for i in range(N))
+    assets = default_asset_labels(N)
     for instance, F, rng in zip(instances, factors, rngs):
         U = _correlated_errors(rng.standard_normal((T, N)), instance)
         market = (instance, ReturnsPanel(dates, assets, F @ instance.B.T + U),
@@ -785,39 +787,32 @@ class ExperimentReport:
         return [agg for agg in self.cells if agg.estimator == name]
 
 
-def _sd(values: np.ndarray) -> float:
-    values = values[np.isfinite(values)]
-    if values.size < 2:
-        return float("nan")
-    return float(np.std(values, ddof=1))
+# x of each CellAggregate mean_x / sd_x pair: the per-portfolio key it
+# summarizes, None for the true risk
+_CELL_STATS = {"delta": "delta", "xi": "xi", "u": "u_variance", "re1": "re1", "re2": "re2",
+               "true_risk": None}
 
 
 def _aggregate(cell: ExperimentCell, records: list) -> list:
+    """Each estimator's CellAggregate over records; every mean and sd is
+    taken over the finite values (only RE1 can be NaN, where U is 0)."""
     out = []
-    reps = len(records)
+    true_risk = np.sqrt(np.concatenate([r.true_variance for r in records]))
     for name in cell.estimators:
-        delta = np.concatenate([r.per_estimator[name]["delta"] for r in records])
-        xi = np.concatenate([r.per_estimator[name]["xi"] for r in records])
-        u = np.concatenate([r.per_estimator[name]["u_variance"] for r in records])
-        re1 = np.concatenate([r.per_estimator[name]["re1"] for r in records])
-        re2 = np.concatenate([r.per_estimator[name]["re2"] for r in records])
-        covered = np.concatenate([r.per_estimator[name]["covered"] for r in records])
-        clamped = np.concatenate([r.per_estimator[name]["clamped"] for r in records])
-        true_risk = np.sqrt(np.concatenate([r.true_variance for r in records]))
-        finite_re1 = re1[np.isfinite(re1)]
+        def stacked(key):
+            return np.concatenate([r.per_estimator[name][key] for r in records])
+
+        stats = {}
+        for x, key in _CELL_STATS.items():
+            values = true_risk if key is None else stacked(key)
+            values = values[np.isfinite(values)]
+            stats[f"mean_{x}"] = float(values.mean()) if values.size else float("nan")
+            stats[f"sd_{x}"] = float(np.std(values, ddof=1)) if values.size > 1 else float("nan")
         out.append(CellAggregate(
             estimator=name, N=cell.N, T=cell.T, c=cell.c, L=cell.L, tau=cell.tau,
-            replications=reps, n_records=delta.size,
-            mean_delta=float(delta.mean()), sd_delta=_sd(delta),
-            mean_xi=float(xi.mean()), sd_xi=_sd(xi),
-            mean_u=float(u.mean()), sd_u=_sd(u),
-            mean_re1=float(finite_re1.mean()) if finite_re1.size else float("nan"),
-            sd_re1=_sd(re1),
-            mean_re2=float(re2.mean()), sd_re2=_sd(re2),
-            mean_true_risk=float(true_risk.mean()), sd_true_risk=_sd(true_risk),
-            coverage=float(covered.mean()),
-            clamped_count=int(clamped.sum()),
-        ))
+            replications=len(records), n_records=true_risk.size,
+            coverage=float(stacked("covered").mean()),
+            clamped_count=int(stacked("clamped").sum()), **stats))
     return out
 
 
@@ -961,7 +956,7 @@ class GridConfig:
     cells: tuple
     replications: int = 100
     base_seed: int = 0
-    periods_per_year: float = 252.0
+    periods_per_year: float = DEFAULT_PERIODS_PER_YEAR
 
     def __post_init__(self):
         _check_periods_per_year(self.periods_per_year)

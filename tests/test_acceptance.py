@@ -16,24 +16,11 @@ import pytest
 
 import oracles
 import portrisk as pr
+from helpers import calibrated_market
 from portrisk import serialization as ser
 from portrisk.estimators import _threshold_values
-from portrisk.simulation import generate_var1_factors
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _calibrated_panel(N, T, seed, params=None):
-    params = params or pr.default_calibration()
-    rng = pr.derive_rng(*seed, "fixture", N, T)
-    inst = pr.build_model_instance(params, N, rng)
-    F = generate_var1_factors(params, T, rng)
-    U = rng.standard_normal((T, N)) @ np.linalg.cholesky(inst.Sigma_u).T
-    dates = tuple(f"t{t:06d}" for t in range(T))
-    panel = pr.ReturnsPanel(dates, tuple(f"a{i:04d}" for i in range(N)),
-                            F @ inst.B.T + U)
-    fpanel = pr.FactorPanel(dates, ("f1", "f2", "f3"), F)
-    return inst, panel, fpanel
 
 
 def test_criterion_01_equal_weight_example_analytics():
@@ -156,7 +143,7 @@ def test_criterion_07_oracle_parity_suites():
     assert worst <= 1e-12
 
     # scaling returns by s multiplies the long-run variance by s^4
-    _, panel, _ = _calibrated_panel(20, 150, (203, "scale7"))
+    _, panel, _ = calibrated_market(20, 150, (203, "scale7"))
     w = pr.sample_random_portfolio(20, 1.5, pr.derive_rng(203, "scalew"))
     base = pr.autocov_sample(panel, w, L=5).sigma2
     s = 7.3
@@ -199,14 +186,14 @@ def test_criterion_08_structural_properties():
                    - oracles.scad_ref(float(zi), float(ti))) <= 1e-15
 
     # POET with a zero threshold restores the sample covariance exactly
-    _, panel, _ = _calibrated_panel(30, 60, (207, "poetzero"))
+    _, panel, _ = calibrated_market(30, 60, (207, "poetzero"))
     S = pr.sample_covariance(panel).matrix
     back = pr.poet_covariance(panel, 3, pr.ThresholdRule("soft"), 0.0).matrix
     recon = np.max(np.abs(back - S)) / np.max(np.abs(S))
     assert recon <= 1e-10
 
     # POET stays positive definite past N > T at the default constant
-    _, panel_wide, _ = _calibrated_panel(200, 100, (37, "poetpd"))
+    _, panel_wide, _ = calibrated_market(200, 100, (37, "poetpd"))
     est = pr.poet_covariance(panel_wide, 3, pr.ThresholdRule("soft"), 0.5)
     assert est.min_eigenvalue > 0
 
@@ -296,7 +283,7 @@ def test_criterion_10_backtest_risk_error_calibration():
     # surrogate: synthetic stationary panel of diversified assets; the
     # estimated risk error must track the realized one within 1%/yr
     params = pr.diversified_calibration()
-    _, panel, fpanel = _calibrated_panel(100, 1008, (17, "surrogate"), params)
+    _, panel, fpanel = calibrated_market(100, 1008, (17, "surrogate"), params)
     report = pr.run_empirical_study(panel, fpanel, pr.BacktestConfig())
     assert report.n_rebalances == 36
     worst = 0.0

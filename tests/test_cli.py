@@ -118,6 +118,25 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["returns_directory", "cells_directory", "output_dir_file"])
+def test_unusable_path_is_data_error(panel_files, tmp_path, capsys, case):
+    # these ended in an IsADirectoryError or FileExistsError traceback (exit 1)
+    _, _, rpath, fpath = panel_files
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {
+        "returns_directory": ["--output-dir", str(tmp_path), "estimate",
+                              "--returns", str(tmp_path), "--estimator", "sample"],
+        "cells_directory": ["report", "--cells", str(tmp_path)],
+        "output_dir_file": ["--output-dir", str(taken), "empirical", "--returns", rpath,
+                            "--factors", fpath, "--estimation-window", "60"],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["estimate", "--no-such-flag"]) == 1
     assert "usage error" in capsys.readouterr().err
