@@ -109,8 +109,11 @@ def long_run_variances(series, centers, L: int):
     gammas is (L+1) x P with gamma(h) in row h, sigma2 the P truncated
     sums clamped at zero, and clamped marks the clamped columns.  Each
     gamma(h) is one dot product per column, the BLAS call a lone series
-    makes, so a column's figures do not depend on the batch around it.
-    One RuntimeWarning reports all the clamped columns of a call.
+    makes, and total_return_series and systematic_return_series give a
+    portfolio the same series bits alone or in a batch (_per_row), so a
+    portfolio's figures do not depend on the number of portfolios P, its
+    position or the portfolios beside it.  One RuntimeWarning reports all
+    the clamped columns of a call.
     """
     series = np.asarray(series, dtype=float)
     T, P = series.shape
@@ -142,9 +145,32 @@ def _quad_forms(matrix: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.einsum("ip,ip->p", W, matrix @ W)
 
 
+# portfolios per matrix product in _per_row; every product has this width
+_BLOCK = 16
+
+
 def _per_row(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """matrix @ r for each row r, one BLAS call per row as for a lone vector."""
-    return np.matmul(matrix, rows[:, :, None])[:, :, 0]
+    """matrix @ r for each of the P rows r, as the rows of a P x M array
+    for an M x n matrix.
+
+    The rows go through matrix @ B.T in C-ordered blocks B of _BLOCK rows,
+    the last block padded with zero rows, so a lone row takes the same BLAS
+    call of the same shape and layout as one in a batch.  A matrix product
+    reads the matrix once per block where a matrix-vector call reads it
+    once per row, and a row's result does not depend on how many rows
+    there are, where it sits or which rows share its block.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    P, n = rows.shape
+    out = np.empty((P, matrix.shape[0]))
+    for start in range(0, P, _BLOCK):
+        block = rows[start:start + _BLOCK]
+        width = block.shape[0]
+        if width < _BLOCK:
+            block = np.zeros((_BLOCK, n))
+            block[:width] = rows[start:]
+        out[start:start + width] = (matrix @ block.T)[:, :width].T
+    return out
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,9 +183,8 @@ def total_return_series(panel: ReturnsPanel, W, demean: bool = True):
     Column j is p_t = w_j'r_t on (by default) demeaned rows, centered at
     w_j'Sw_j with S built from the same rows.
     """
-    rows = np.ascontiguousarray(np.asarray(W, dtype=float).T)
     X = panel.demeaned_values if demean else panel.values
-    p = _per_row(X, rows)
+    p = _per_row(X, np.asarray(W).T)
     return p.T, _row_dots(p, p) / panel.T
 
 
@@ -169,8 +194,7 @@ def systematic_return_series(fit: FactorModelFit, W):
     The center is w_j'B cov(f) B'w_j, which is w_j'BB'w_j for PCA factors:
     their covariance is the identity (multiplying by it is exact).
     """
-    rows = np.ascontiguousarray(np.asarray(W, dtype=float).T)
-    b = _per_row(fit.loadings.T, rows)
+    b = _per_row(fit.loadings.T, np.asarray(W).T)
     series = _per_row(fit.factors, b)
     return series.T, _row_dots(np.matmul(b[:, None, :], fit.factor_cov)[:, 0, :], b)
 

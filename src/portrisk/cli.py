@@ -315,9 +315,9 @@ def _cmd_simulate(args) -> int:
     cfg = engine.parse_grid_config(text)
     seed = args.seed if args.seed is not None else cfg.base_seed
     config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
+    out = _outdir(args)
     report = engine.run_experiment(cfg.cells, cfg.replications, workers=args.threads,
                                    base_seed=seed)
-    out = _outdir(args)
     header = make_header_lines(seed=seed, config_hash=config_hash)
     cells_path = out / f"{args.out_prefix}_cells.csv"
     figures_path = out / f"{args.out_prefix}_figures.csv"
@@ -343,8 +343,8 @@ def _cmd_empirical(args) -> int:
         periods_per_year=args.periods_per_year,
     )
     returns, factors = _load_panels(args, need_factors="factor" in estimators)
-    report = run_empirical_study(returns, factors, config)
     out = _outdir(args)
+    report = run_empirical_study(returns, factors, config)
     header = make_header_lines()
     records_path = out / f"{args.out_prefix}_records.csv"
     summary_path = out / f"{args.out_prefix}_summary.csv"

@@ -87,6 +87,11 @@ def sample_random_weights(N: int, c, rng: np.random.Generator, P: int = 1) -> np
     Each column consumes the generator in a fixed order (count, long
     exponentials, short exponentials, permutation), so column j equals the
     j-th of P successive sample_random_portfolio calls on the same stream.
+    A column is built in one reused N-vector: the exponentials are drawn
+    into it, each side is scaled in place, and it is shuffled in place
+    before it is copied into W.  Shuffling makes the swaps that
+    rng.permutation(N) makes on arange(N), so the column equals the
+    gather raw[rng.permutation(N)] value for value.
     """
     if N < 1:
         raise DataError("N must be at least 1")
@@ -95,6 +100,7 @@ def sample_random_weights(N: int, c, rng: np.random.Generator, P: int = 1) -> np
     c = _exposure_value(c)
     p_long = (c + 1.0) / (2.0 * c)
     W = np.empty((N, P))
+    raw = np.empty(N)
     for j in range(P):
         k = -1
         for _ in range(100):
@@ -107,13 +113,21 @@ def sample_random_weights(N: int, c, rng: np.random.Generator, P: int = 1) -> np
             )
         # the long and the short exponentials are one contiguous run of
         # the stream, so a single draw splits into both sides
-        raw = rng.standard_exponential(N)
-        long_raw, short_raw = raw[:k], raw[k:]
+        rng.standard_exponential(out=raw)
+        # each side becomes scale * side / side.sum(), in place and in that
+        # order, so the same bits
         if k:
-            raw[:k] = (c + 1.0) / 2.0 * long_raw / long_raw.sum()
+            side = raw[:k]
+            total = side.sum()
+            side *= (c + 1.0) / 2.0
+            side /= total
         if N - k:
-            raw[k:] = -(c - 1.0) / 2.0 * short_raw / short_raw.sum()
-        W[:, j] = raw[rng.permutation(N)]
+            side = raw[k:]
+            total = side.sum()
+            side *= -(c - 1.0) / 2.0
+            side /= total
+        rng.shuffle(raw)
+        W[:, j] = raw
     if not np.all(np.isfinite(W)):
         raise DataError("portfolio weights must be finite")
     totals = W.sum(axis=0)

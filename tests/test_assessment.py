@@ -1,6 +1,7 @@
 """Long-run variances, H-CLUB bounds, crude bounds, RE ratios."""
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -293,6 +294,15 @@ def _loop_lrv(series, center, L):
     return gammas, max(gammas[0] + 2.0 * sum(gammas[1:]), 0.0)
 
 
+def _lone_product(matrix, v):
+    """matrix @ v as the series kernel computes it: v is the first row of
+    a 16-row block padded with zeros, and its column comes back as a
+    contiguous copy (a strided column passed to @ rounds differently)."""
+    block = np.zeros((16, v.shape[0]))
+    block[0] = v
+    return np.ascontiguousarray((matrix @ block.T)[:, 0])
+
+
 def test_batched_lrvs_equal_the_per_portfolio_loop():
     # the arithmetic is unchanged by batching, so every column must match
     # the per-portfolio computation bit for bit, as must the P=1 callers
@@ -303,16 +313,16 @@ def test_batched_lrvs_equal_the_per_portfolio_loop():
     X = panel.demeaned_values
 
     def sample_ref(w):
-        p = X @ w
+        p = _lone_product(X, w)
         return p, float(p @ p) / panel.T
 
     def factor_ref(w):
-        b = factor.loadings.T @ w
-        return factor.factors @ b, float(b @ factor.factor_cov @ b)
+        b = _lone_product(factor.loadings.T, w)
+        return _lone_product(factor.factors, b), float(b @ factor.factor_cov @ b)
 
     def poet_ref(w):
-        b = poet.loadings.T @ w
-        return poet.factors @ b, float(b @ b)
+        b = _lone_product(poet.loadings.T, w)
+        return _lone_product(poet.factors, b), float(b @ b)
 
     cases = [
         (total_return_series(panel, W), sample_ref, lambda w: pr.autocov_sample(panel, w, L=4)),
@@ -330,6 +340,32 @@ def test_batched_lrvs_equal_the_per_portfolio_loop():
             one = single(w)
             assert list(one.gammas) == ref_gammas and one.sigma2 == ref_sigma2
             assert one.clamped == clamped[j]
+
+
+@pytest.mark.parametrize("T, N", [(300, 600), (80, 30)])
+def test_series_columns_do_not_depend_on_the_batch(T, N):
+    # a portfolio's series and center are the same bits whether it comes
+    # alone or at offset 0, 1 or 7 of a batch of P, for P on both sides
+    # of the 16-portfolio block and at the simulation's 200; the systematic
+    # series go through the 3 x N loadings and the T x 3 factors
+    rng = np.random.default_rng([T, N])
+    panel = make_panel(rng.standard_normal((T, N)))
+    fpanel = make_factor_panel(rng.standard_normal((T, 3)))
+    series_of = [partial(total_return_series, panel),
+                 partial(systematic_return_series, pr.ols_factor_fit(panel, fpanel)),
+                 partial(systematic_return_series, pr.pca_factor_fit(panel, 3))]
+    w = pr.sample_random_weights(N, 1.6, pr.derive_rng(171, "lone", N), 1)
+    for series in series_of:
+        lone_series, lone_center = series(w)
+        for P in (1, 15, 16, 17, 40, 200):
+            for offset in (0, 1, 7):
+                if offset >= P:
+                    continue
+                W = pr.sample_random_weights(N, 1.6, pr.derive_rng(171, "batch", N, P), P)
+                W[:, offset] = w[:, 0]
+                batch_series, batch_center = series(W)
+                assert np.array_equal(batch_series[:, offset], lone_series[:, 0])
+                assert batch_center[offset] == lone_center[0]
 
 
 def test_sigma2_scale_equivariance():

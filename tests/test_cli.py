@@ -137,6 +137,27 @@ def test_unusable_path_is_data_error(panel_files, tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "empirical"])
+def test_unusable_output_dir_fails_before_the_study(
+        panel_files, tmp_path, capsys, monkeypatch, command):
+    # the output directory is made before the study runs, not after it
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr("portrisk.cli.run_experiment", no_study)
+    monkeypatch.setattr("portrisk.cli.run_empirical_study", no_study)
+    _, _, rpath, fpath = panel_files
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(SIM_CONFIG)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {"simulate": ["--threads", "1", "simulate", "--config", str(cfg)],
+            "empirical": ["empirical", "--returns", rpath, "--factors", fpath]}[command]
+    assert main(["--output-dir", str(taken), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["estimate", "--no-such-flag"]) == 1
     assert "usage error" in capsys.readouterr().err

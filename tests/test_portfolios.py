@@ -136,8 +136,8 @@ def _reference_portfolio(N, c, rng):
     return np.concatenate([longs, shorts])[rng.permutation(N)]
 
 
-@pytest.mark.parametrize("N", [1, 2, 600])
-@pytest.mark.parametrize("c", [1.0, 1.6, 4.0])
+@pytest.mark.parametrize("N", [1, 2, 7, 100, 600])
+@pytest.mark.parametrize("c", [1.0, 1.6, 2.0, 4.0])
 def test_batched_sampler_equals_sequential_draws(N, c):
     P = 25
     rngs = [pr.derive_rng(113, "batch", N, c) for _ in range(3)]
