@@ -15,7 +15,10 @@ estimation error is then U(tau) = z_{tau/2} * sqrt(sigma2 / T), and the
 risk-scale bound follows by the delta method as U(tau) / sqrt(4 w'Sw).
 
 EstimatorSpec is the estimator -> fit -> series chain that the simulation
-engine, the rolling backtest and the command line share.
+engine, the rolling backtest and the command line share, and
+FittedEstimator.assess gives all three the estimated variances, long-run
+variances and U(tau) of a batch of portfolios at once.  autocov_*,
+portfolio_variance and hclub are the same figures for one portfolio.
 """
 
 from __future__ import annotations
@@ -257,22 +260,20 @@ class FittedEstimator:
     fit: FactorModelFit | None
     series: Callable
 
-    def autocov(self, w, L: int = DEFAULT_LAGS) -> LongRunVariance:
-        """Long-run variance of one portfolio (or weight vector) w."""
-        return _autocov(self.series, self.estimate.N, w, L)
+    def assess(self, W, L: int, z: float):
+        """(variances, sigma2, u_variance, clamped) of the portfolios in the
+        columns of W: each w'Sigma_hat w, long_run_variances' sigma2 and
+        clamped at lag cut-off L, and the H-CLUB z sqrt(sigma2 / T).
 
-    def variances_and_series(self, W):
-        """(variances, series, centers) of the portfolios in the columns of W.
-
-        variances holds each w'Sigma_hat w.  The sample estimate's series is
-        centered at w'Sw = ||Xw||^2 / T on the same rows, so its variances
-        are those centers; factor and poet take the quadratic forms of
-        their matrix.
+        The sample variances are the series centers w'Sw = ||Xw||^2 / T;
+        factor and poet take the quadratic forms of their matrix.  A
+        portfolio's sigma2 and u_variance are the bits it gets alone.
         """
         series, centers = self.series(W)
-        if self.estimate.kind == "sample":
-            return centers, series, centers
-        return _quad_forms(self.estimate.matrix, W), series, centers
+        variances = (centers if self.estimate.kind == "sample"
+                     else _quad_forms(self.estimate.matrix, W))
+        _, sigma2, clamped = long_run_variances(series, centers, L)
+        return variances, sigma2, z * np.sqrt(sigma2 / len(series)), clamped
 
 
 @dataclass(frozen=True)

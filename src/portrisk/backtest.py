@@ -11,7 +11,10 @@ so subtracting a noisy mean costs more than the bias it removes.
 Windows advance by the holding length, so holding blocks tile the sample
 back to back and nothing after the first estimation window is discarded.
 Each estimator is the EstimatorSpec the config builds for it, with the
-positive-definiteness repair on for the factor and POET estimates.
+positive-definiteness repair on for the factor and POET estimates.  The
+equal-weight book and every minimum-variance book that solved in a window
+are assessed as one batch by FittedEstimator.assess, and their realized
+variances come from one product with the holding block's moment matrix.
 """
 
 from __future__ import annotations
@@ -24,16 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# autocov_* and ensure_positive_definite run inside EstimatorSpec; they stay
-# bound here for code that wraps the module's names to profile it
-from .assessment import (_CLAMPED_WARNING, DEFAULT_LAGS, EstimatorSpec, autocov_factor,
-                         autocov_poet, autocov_sample, estimator_specs, hclub)
+# autocov_*, hclub and ensure_positive_definite are the one-portfolio forms
+# of what EstimatorSpec and FittedEstimator.assess run here; they stay bound
+# for code that wraps the module's names to profile it
+from .assessment import (_CLAMPED_WARNING, DEFAULT_LAGS, EstimatorSpec, _quad_forms,
+                         autocov_factor, autocov_poet, autocov_sample, estimator_specs,
+                         hclub, hclub_z)
 from .blas import single_thread
 from .errors import DataError, NumericalError, PortriskError
-from .estimators import ESTIMATOR_NAMES, ensure_positive_definite, portfolio_variance
+from .estimators import ESTIMATOR_NAMES, ensure_positive_definite
 from .panels import FactorPanel, ReturnsPanel, align_panels
-from .portfolios import (DEFAULT_PERIODS_PER_YEAR, _check_periods_per_year, _exposure_value,
-                         equal_weight, min_variance)
+from .portfolios import (DEFAULT_PERIODS_PER_YEAR, Portfolio, _check_periods_per_year,
+                         _exposure_value, equal_weight, min_variance)
 
 __all__ = [
     "BacktestConfig",
@@ -180,40 +185,6 @@ class BacktestReport:
         raise KeyError(f"no aggregate for ({strategy}, {estimator})")
 
 
-def _assess(record_index, hold_start, strategy, estimator_name, fitted, pf,
-            window, hold_block, config):
-    est = fitted.estimate
-    vhat = portfolio_variance(est, pf)
-    if not vhat > 0:
-        raise NumericalError(
-            f"estimated portfolio variance {vhat:.3e} is not positive"
-        )
-    lrv = fitted.autocov(pf, L=config.L)
-    bound = hclub(lrv, window.T, config.tau, vhat, est.kind, paper_z=config.paper_z)
-
-    w = pf.weights
-    realized_var = float(w @ hold_block @ w)
-    realized_risk = math.sqrt(max(realized_var, 0.0))
-    risk_hat = math.sqrt(vhat)
-    return RebalanceRecord(
-        index=record_index,
-        hold_start=hold_start,
-        strategy=strategy,
-        estimator=estimator_name,
-        gross=pf.gross_exposure,
-        variance_hat=vhat,
-        risk_hat=risk_hat,
-        sigma2_hat=lrv.sigma2,
-        u_variance=bound.u_variance,
-        u_risk=bound.u_risk,
-        realized_variance=realized_var,
-        realized_risk=realized_risk,
-        risk_error=abs(realized_risk - risk_hat),
-        covered=abs(realized_var - vhat) <= bound.u_variance,
-        clamped=lrv.clamped,
-    )
-
-
 def run_empirical_study(
     returns: ReturnsPanel,
     factors: FactorPanel | None,
@@ -245,9 +216,16 @@ def run_empirical_study(
 
     # (label, exposure); the equal-weight book has no exposure budget
     strategies = [("equal", None)] + [(_minvar_label(c), c) for c in config.exposures]
+    equal = equal_weight(returns.N)
+    z = hclub_z(config.tau, config.paper_z)
     records = []
     skipped = []
     skips = Counter()  # skipped cases per (strategy/estimator, error type)
+
+    def skip(r, strategy, name, exc):
+        skipped.append(SkippedCase(r, strategy, name, str(exc)))
+        skips[f"{strategy}/{name} {type(exc).__name__}"] += 1
+
     with single_thread(), warnings.catch_warnings():
         # the summary below counts the clamped long-run variances
         warnings.filterwarnings("ignore", _CLAMPED_WARNING, RuntimeWarning)
@@ -264,20 +242,38 @@ def run_empirical_study(
                     fitted = spec.fit(window, factor_window)
                 except PortriskError as exc:
                     for strategy, _ in strategies:
-                        skipped.append(SkippedCase(r, strategy, spec.name, str(exc)))
-                        skips[f"{strategy}/{spec.name} {type(exc).__name__}"] += 1
+                        skip(r, strategy, spec.name, exc)
                     continue
+                books = []  # (strategy, its book or the error that stopped its solve)
                 for strategy, c in strategies:
                     try:
-                        if c is None:
-                            pf = equal_weight(returns.N)
-                        else:
-                            pf = min_variance(fitted.estimate, c)
-                        records.append(_assess(r, hold_start, strategy, spec.name, fitted,
-                                               pf, window, hold_block, config))
+                        book = equal if c is None else min_variance(fitted.estimate, c)
                     except PortriskError as exc:
-                        skipped.append(SkippedCase(r, strategy, spec.name, str(exc)))
-                        skips[f"{strategy}/{spec.name} {type(exc).__name__}"] += 1
+                        book = exc
+                    books.append((strategy, book))
+                # the books that solved, assessed as one batch, with their realized
+                # variances: one (vhat, sigma2, u_var, clamped, realized) per book
+                weights = np.stack([pf.weights for _, pf in books if isinstance(pf, Portfolio)],
+                                   axis=1)
+                assessed = (*fitted.assess(weights, config.L, z), _quad_forms(hold_block, weights))
+                figures = zip(*(values.tolist() for values in assessed))
+                for strategy, pf in books:
+                    if isinstance(pf, Portfolio):
+                        vhat, sigma2, u_var, clamped, realized = next(figures)
+                        if vhat > 0:
+                            risk_hat, realized_risk = math.sqrt(vhat), math.sqrt(max(realized, 0.0))
+                            records.append(RebalanceRecord(
+                                index=r, hold_start=hold_start, strategy=strategy,
+                                estimator=spec.name, gross=pf.gross_exposure,
+                                variance_hat=vhat, risk_hat=risk_hat, sigma2_hat=sigma2,
+                                u_variance=u_var, u_risk=u_var / math.sqrt(4.0 * vhat),
+                                realized_variance=realized, realized_risk=realized_risk,
+                                risk_error=abs(realized_risk - risk_hat),
+                                covered=abs(realized - vhat) <= u_var, clamped=clamped))
+                            continue
+                        pf = NumericalError(f"estimated portfolio variance {vhat:.3e} "
+                                            "is not positive")
+                    skip(r, strategy, spec.name, pf)
     notes = []
     clamped = sum(x.clamped for x in records)
     if clamped:

@@ -2,12 +2,13 @@
 
 Subcommands mirror the library one to one and stay thin: parse flags,
 call the library, serialize results.  estimate and hclub build one
-EstimatorSpec from their flags; empirical takes its defaults from
-BacktestConfig.  Exit codes: 0 success, 1 usage errors, 2 data errors
-(ill-formed inputs, and paths that cannot be read or written: a missing
-file, a directory given as a file, a file given as --output-dir), 3
-numerical failures (singular matrices, non-convergence); a closed stdout
-(portrisk report | head) ends the run quietly with 0.
+EstimatorSpec from their flags, and hclub assesses its one portfolio with
+FittedEstimator.assess; empirical takes its defaults from BacktestConfig.
+Exit codes: 0 success, 1 usage errors, 2 data errors (ill-formed inputs,
+and paths that cannot be read or written: a missing file, a directory
+given as a file, a file given as --output-dir), 3 numerical failures
+(singular matrices, non-convergence); a closed stdout (portrisk report |
+head) ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -16,16 +17,17 @@ import argparse
 import logging
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .assessment import DEFAULT_LAGS, EstimatorSpec, hclub
+from .assessment import _CLAMPED_WARNING, DEFAULT_LAGS, EstimatorSpec, hclub_z
 from .backtest import BacktestConfig, run_empirical_study
 from .blas import single_thread
 from .errors import DataError, NumericalError, UsageError
-from .estimators import ESTIMATOR_NAMES, THRESHOLD_RULES, portfolio_variance
+from .estimators import ESTIMATOR_NAMES, THRESHOLD_RULES
 from .panels import ParseConfig, load_factors_csv, load_returns_csv
 from .portfolios import Portfolio, equal_weight, sample_random_weights
 from .reporting import (
@@ -249,38 +251,41 @@ def _cmd_hclub(args) -> int:
     if args.L < 0:
         raise UsageError(f"--L must be nonnegative, got {args.L}")
     returns, fitted = _fit(args)
-    est = fitted.estimate
     pf = _portfolio_for(args, returns)
-    vhat = portfolio_variance(est, pf)
+    with warnings.catch_warnings():
+        # the warning line below reports a clamped long-run variance
+        warnings.filterwarnings("ignore", _CLAMPED_WARNING, RuntimeWarning)
+        variances, sigma2, u_variance, clamped = fitted.assess(
+            pf.weights[:, None], args.L, hclub_z(args.tau, args.paper_z))
+    vhat, u_var = float(variances[0]), float(u_variance[0])
     if not vhat > 0:
         raise NumericalError(f"estimated variance {vhat:.3e} is not positive; "
                              "try --ensure-pd")
-    lrv = fitted.autocov(pf, L=args.L)
-    bound = hclub(lrv, returns.T, args.tau, vhat, est.kind, paper_z=args.paper_z)
+    u_risk = u_var / np.sqrt(4.0 * vhat)
 
     nan = float("nan")
     row = {
-        "estimator": est.kind, "N": returns.N, "T": returns.T,
+        "estimator": fitted.estimate.kind, "N": returns.N, "T": returns.T,
         "c": pf.gross_exposure, "L": args.L, "tau": args.tau,
         "variance_hat": vhat, "risk_hat": float(np.sqrt(vhat)),
-        "sigma2_hat": lrv.sigma2,
-        "u_variance": bound.u_variance, "u_risk": bound.u_risk,
+        "sigma2_hat": float(sigma2[0]),
+        "u_variance": u_var, "u_risk": u_risk,
         # xi, delta and RE1 need the unknown true covariance; RE2 is
         # reported against the estimate itself
         "xi": nan, "delta": nan, "re1": nan,
-        "re2": bound.u_variance / (4.0 * vhat),
-        "clamped": lrv.clamped,
+        "re2": u_var / (4.0 * vhat),
+        "clamped": bool(clamped[0]),
     }
     name = args.out or "assessment.csv"
     path = _outdir(args) / name
     write_assessment_csv(path, [row], make_header_lines())
-    if lrv.clamped:
+    if row["clamped"]:
         print("warning: negative long-run variance clamped to zero; "
               "the bound below is degenerate", file=sys.stderr)
     risk = row["risk_hat"]
-    print(f"variance {vhat:.6g} with U({args.tau})={bound.u_variance:.6g}")
-    print(f"risk {risk:.6g} +- {bound.u_risk:.6g}, interval "
-          f"[{risk - bound.u_risk:.6g}, {risk + bound.u_risk:.6g}]")
+    print(f"variance {vhat:.6g} with U({args.tau})={u_var:.6g}")
+    print(f"risk {risk:.6g} +- {u_risk:.6g}, interval "
+          f"[{risk - u_risk:.6g}, {risk + u_risk:.6g}]")
     print(f"wrote {path}")
     return 0
 

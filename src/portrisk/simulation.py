@@ -67,7 +67,6 @@ from .assessment import (
     autocov_sample,
     estimator_specs,
     hclub_z,
-    long_run_variances,
 )
 from .blas import pin_single_thread, single_thread
 from .errors import DataError, NumericalError
@@ -720,12 +719,9 @@ def run_replication(cell: ExperimentCell, base_seed: int, rep: int,
     per_estimator = {}
     for spec in cell._specs:
         fitted, max_err = market.estimate(spec)
-        vhat, series, centers = fitted.variances_and_series(W)
+        vhat, sigma2, u_var, clamped = fitted.assess(W, cell.L, z)
         delta = np.abs(vhat - true_var)
         xi = gross_sq * max_err
-        _, sigma2, clamped = long_run_variances(series, centers, cell.L)
-
-        u_var = z * np.sqrt(sigma2 / T)
         covered = delta <= u_var
         with np.errstate(divide="ignore", invalid="ignore"):
             re1 = np.where(u_var > 0, xi / u_var, np.nan)

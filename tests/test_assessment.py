@@ -495,17 +495,22 @@ def test_estimator_spec_equals_the_public_functions(name, variant):
 
     W = pr.sample_random_weights(60, 1.6, pr.derive_rng(3, "spec-parity"), 6)
     W[:, 0] = 1.0 / 60
-    L = 6
-    gammas, sigma2, clamped = pr.long_run_variances(*fitted.series(W), L)
+    L, tau = 6, 0.05
+    series, centers = fitted.series(W)
+    gammas, sigma2, clamped = pr.long_run_variances(series, centers, L)
+    variances, sigma2_b, u_variance, clamped_b = fitted.assess(W, L, pr.hclub_z(tau))
+    assert sigma2_b.tobytes() == sigma2.tobytes()
+    assert clamped_b.tolist() == clamped.tolist()
     # the sample variances are the series centers, the others quadratic forms
-    variances, series, centers = fitted.variances_and_series(W)
-    assert series.tobytes() == fitted.series(W)[0].tobytes()
-    assert centers.tobytes() == fitted.series(W)[1].tobytes()
-    np.testing.assert_allclose(variances, _quad_forms(est.matrix, W), rtol=1e-12, atol=0)
+    quad_forms = _quad_forms(est.matrix, W)
+    assert variances.tobytes() == (centers if name == "sample" else quad_forms).tobytes()
+    np.testing.assert_allclose(variances, quad_forms, rtol=1e-12, atol=0)
     for j in range(W.shape[1]):
         want = autocov(W[:, j].copy(), L)
-        one = fitted.autocov(W[:, j].copy(), L)
-        assert one == want
+        bound = pr.hclub(want, panel.T, tau, float(variances[j]), name)
+        _, s2, u, c = fitted.assess(W[:, j:j + 1].copy(), L, pr.hclub_z(tau))
+        assert (s2[0], u[0], c[0]) == (want.sigma2, bound.u_variance, want.clamped)
+        assert u_variance[j] == bound.u_variance
         assert tuple(gammas[:, j].tolist()) == want.gammas
         assert (sigma2[j], bool(clamped[j])) == (want.sigma2, want.clamped)
 

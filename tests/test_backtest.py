@@ -8,6 +8,7 @@ import pytest
 
 import portrisk as pr
 from helpers import calibrated_market
+from portrisk.blas import single_thread
 from portrisk.simulation import generate_var1_factors
 
 
@@ -249,6 +250,38 @@ def test_min_variance_gets_the_exposure_itself(monkeypatch):
     report = pr.run_empirical_study(returns, factors, cfg)
     assert seen == [1.23456789]
     assert [r.strategy for r in report.records] == ["equal", "minvar_c1.23457"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("N, window", [(40, 60), (40, 30)])
+def test_batched_records_equal_the_one_portfolio_path(N, window):
+    # the study assesses a (window, estimator)'s books as one batch; each
+    # record must carry the bound its portfolio gets alone
+    H = 10
+    returns, factors = _market(N, window + 3 * H, 57)
+    cfg = pr.BacktestConfig(estimation_window=window, holding_window=H,
+                            exposures=(1.0, 1.6, 2.0), L=3)
+    report = pr.run_empirical_study(returns, factors, cfg)
+    assert {(r.strategy, r.estimator) for r in report.records} >= {
+        (s, e) for s in ("equal", "minvar_c1", "minvar_c2") for e in ("factor", "poet")}
+    specs = dict(zip(cfg.estimators, cfg._specs))
+    exposures = {f"minvar_c{c:g}": c for c in cfg.exposures}
+    for rec in report.records:
+        lo, mid = rec.index * H, rec.index * H + window
+        with single_thread():
+            fitted = specs[rec.estimator].fit(returns.slice_rows(lo, mid),
+                                              factors.slice_rows(lo, mid))
+            pf = (pr.equal_weight(N) if rec.strategy == "equal"
+                  else pr.min_variance(fitted.estimate, exposures[rec.strategy]))
+        gammas, sigma2, clamped = pr.long_run_variances(*fitted.series(pf.weights[:, None]),
+                                                        cfg.L)
+        lrv = pr.LongRunVariance(tuple(gammas[:, 0]), cfg.L, float(sigma2[0]),
+                                 bool(clamped[0]))
+        vhat = pr.portfolio_variance(fitted.estimate, pf)
+        bound = pr.hclub(lrv, window, cfg.tau, vhat, fitted.estimate.kind, cfg.paper_z)
+        assert (rec.sigma2_hat, rec.u_variance, rec.clamped) == \
+            (lrv.sigma2, bound.u_variance, lrv.clamped)
+        assert rec.variance_hat == pytest.approx(vhat, rel=1e-12, abs=0)
 
 
 def test_clamped_long_run_variances_are_counted_in_the_one_warning():

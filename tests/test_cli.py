@@ -11,6 +11,7 @@ import pytest
 import portrisk as pr
 from portrisk import serialization as ser
 from portrisk.cli import main
+from portrisk.estimators import ESTIMATOR_NAMES
 from portrisk.serialization import ASSESSMENT_COLUMNS
 from portrisk.simulation import generate_var1_factors
 
@@ -78,10 +79,11 @@ def test_estimate_factor_without_factors_is_usage_error(panel_files, tmp_path, c
     assert "usage error" in capsys.readouterr().err
 
 
-def test_hclub_row_matches_library(panel_files, tmp_path, capsys):
-    returns, _, rpath, _ = panel_files
+@pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+def test_hclub_row_matches_library(name, panel_files, tmp_path, capsys):
+    returns, factors, rpath, fpath = panel_files
     assert main(["--output-dir", str(tmp_path), "hclub", "--returns", rpath,
-                 "--estimator", "sample", "--equal-weight",
+                 "--factors", fpath, "--estimator", name, "--equal-weight",
                  "--tau", "0.05", "--L", "3", "--out", "a.csv"]) == 0
     out = capsys.readouterr().out
     assert "risk" in out and "wrote" in out
@@ -89,18 +91,49 @@ def test_hclub_row_matches_library(panel_files, tmp_path, capsys):
              if not l.startswith("#")]
     row = dict(zip(ASSESSMENT_COLUMNS, lines[1].split(",")))
 
-    est = pr.sample_covariance(returns)
+    fitted = pr.EstimatorSpec(name).fit(returns, factors)
     pf = pr.equal_weight(returns.N)
-    vhat = pr.portfolio_variance(est, pf)
-    lrv = pr.autocov_sample(returns, pf, L=3)
-    bound = pr.hclub(lrv, returns.T, 0.05, vhat, est.kind, paper_z=False)
+    variances, sigma2, u_variance, clamped = fitted.assess(
+        pf.weights[:, None], 3, pr.hclub_z(0.05))
+    vhat, u = float(variances[0]), float(u_variance[0])
     assert float(row["variance_hat"]) == vhat
     assert float(row["risk_hat"]) == math.sqrt(vhat)
-    assert float(row["u_variance"]) == bound.u_variance
-    assert float(row["u_risk"]) == bound.u_risk
-    assert float(row["re2"]) == bound.u_variance / (4.0 * vhat)
-    assert row["estimator"] == "sample"
+    assert float(row["sigma2_hat"]) == sigma2[0]
+    assert float(row["u_variance"]) == u
+    assert float(row["u_risk"]) == u / math.sqrt(4.0 * vhat)
+    assert float(row["re2"]) == u / (4.0 * vhat)
+    assert row["clamped"] == str(bool(clamped[0]))
+    assert row["estimator"] == name
     assert math.isnan(float(row["xi"]))
+
+    # the one-portfolio functions: the same bound, the risk up to rounding
+    # (the sample risk is ||Xw||^2 / T here and w'Sw there)
+    one = pr.portfolio_variance(fitted.estimate, pf)
+    lrv = (pr.autocov_sample(returns, pf, L=3) if name == "sample"
+           else getattr(pr, f"autocov_{name}")(fitted.fit, pf, L=3))
+    bound = pr.hclub(lrv, returns.T, 0.05, one, name)
+    assert (float(row["sigma2_hat"]), float(row["u_variance"])) == (lrv.sigma2, bound.u_variance)
+    assert float(row["variance_hat"]) == pytest.approx(one, rel=1e-12, abs=0)
+    assert float(row["u_risk"]) == pytest.approx(bound.u_risk, rel=1e-12, abs=0)
+
+
+def test_hclub_reports_a_clamped_long_run_variance_once(tmp_path):
+    # a fresh interpreter, so stderr shows what a real run prints; the
+    # library's RuntimeWarning used to come first, with its source line
+    returns = tmp_path / "alternating.csv"
+    returns.write_text("date,a,b\n" + "".join(
+        f"d{t:02d},{1 + t % 2}.0,{1 + t % 2}.0\n" for t in range(50)))
+    src = os.path.dirname(os.path.dirname(pr.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "portrisk.cli", "--output-dir", str(tmp_path), "hclub",
+         "--returns", str(returns), "--estimator", "sample", "--equal-weight",
+         "--L", "1", "--no-demean"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "clamp" in line] == [
+        "warning: negative long-run variance clamped to zero; the bound below is degenerate"]
+    assert ".py:" not in proc.stderr
+    assert "U(0.05)=0\n" in proc.stdout
 
 
 def test_hclub_tau_out_of_range_is_usage_error(panel_files, tmp_path, capsys):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import portrisk as pr
-from portrisk.assessment import long_run_variances
 from portrisk.estimators import ESTIMATOR_NAMES
 from portrisk.simulation import _generate_market
 
@@ -29,28 +28,26 @@ def _scaled(panel, s):
     return pr.ReturnsPanel(panel.dates, panel.assets, s * panel.values)
 
 
-def _assess(fitted, W, T, L=5, tau=0.05):
-    """Estimate, variances, long-run variances and H-CLUB bounds of W's columns."""
-    variances, series, centers = fitted.variances_and_series(W)
-    sigma2 = long_run_variances(series, centers, L)[1]
-    bounds = [pr.hclub(pr.LongRunVariance((), L, s2), T, tau, v, fitted.estimate.kind)
-              for s2, v in zip(sigma2, variances)]
-    return fitted.estimate.matrix, variances, sigma2, bounds
+def _assess(fitted, W, L=5, tau=0.05):
+    """Estimate, variances, long-run variances, H-CLUB bounds and their
+    risk-scale forms for W's columns."""
+    variances, sigma2, u_variance, _ = fitted.assess(W, L, pr.hclub_z(tau))
+    return (fitted.estimate.matrix, variances, sigma2, u_variance,
+            u_variance / np.sqrt(4.0 * variances))
 
 
 @pytest.mark.parametrize("name", ESTIMATOR_NAMES)
 def test_doubled_returns_scale_estimates_and_bounds_exactly(market, name):
     panel, fpanel, W = market
     spec = pr.EstimatorSpec(name)
-    base = _assess(spec.fit(panel, fpanel), W, panel.T)
-    doubled = _assess(spec.fit(_scaled(panel, 2.0), fpanel), W, panel.T)
+    base = _assess(spec.fit(panel, fpanel), W)
+    doubled = _assess(spec.fit(_scaled(panel, 2.0), fpanel), W)
     np.testing.assert_array_equal(doubled[0], 4.0 * base[0])
     np.testing.assert_array_equal(doubled[1], 4.0 * base[1])
     np.testing.assert_array_equal(doubled[2], 16.0 * base[2])
-    for u0, u1, v0, v1 in zip(base[3], doubled[3], base[1], doubled[1]):
-        assert u1.u_variance == 4.0 * u0.u_variance
-        assert u1.u_risk == 2.0 * u0.u_risk
-        assert u1.u_variance / (4.0 * v1) == u0.u_variance / (4.0 * v0)
+    np.testing.assert_array_equal(doubled[3], 4.0 * base[3])
+    np.testing.assert_array_equal(doubled[4], 2.0 * base[4])
+    np.testing.assert_array_equal(doubled[3] / (4.0 * doubled[1]), base[3] / (4.0 * base[1]))
 
 
 @pytest.mark.parametrize("name", ESTIMATOR_NAMES)
