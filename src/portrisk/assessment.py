@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -134,11 +135,12 @@ def long_run_variances(series, centers, L: int):
     if n_clamped:
         what = (f"({sigma2[0]:.3e})" if P == 1
                 else f"for {n_clamped} of {P} portfolios")
-        warnings.warn(
-            f"{_CLAMPED_WARNING} {what}; clamped to 0",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        # point the warning at the first frame outside this package
+        frame, level = sys._getframe(), 1
+        while frame is not None and frame.f_globals.get("__package__") == __package__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn(f"{_CLAMPED_WARNING} {what}; clamped to 0", RuntimeWarning,
+                      stacklevel=level)
         sigma2 = np.where(clamped, 0.0, sigma2)
     return gammas, sigma2, clamped
 

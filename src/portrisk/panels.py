@@ -50,12 +50,6 @@ class ParseConfig:
     excluded_columns: tuple[str, ...] = ()
 
 
-def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 def _check_dates(dates: tuple[str, ...]) -> None:
     for i in range(1, len(dates)):
         if dates[i] <= dates[i - 1]:
@@ -75,7 +69,7 @@ class _Panel:
         dates, names = tuple(self.dates), tuple(getattr(self, self._COLUMNS))
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, self._COLUMNS, names)
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        values = np.atleast_2d(np.array(self.values, dtype=float))
         if values.shape != (len(dates), len(names)):
             raise DataError(
                 f"value matrix shape {values.shape} does not match "
@@ -91,7 +85,8 @@ class _Panel:
                 f"non-finite value at date {dates[t]!r}, {self._NOUN} {names[j]!r}"
             )
         _check_dates(dates)
-        object.__setattr__(self, "values", _freeze(values))
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
     @property
     def T(self) -> int:
@@ -121,7 +116,8 @@ class ReturnsPanel(_Panel):
         """Column-demeaned copy of the values, computed once and cached."""
         cached = getattr(self, "_demeaned", None)
         if cached is None:
-            cached = _freeze(self.values - self.values.mean(axis=0))
+            cached = self.values - self.values.mean(axis=0)
+            cached.setflags(write=False)
             object.__setattr__(self, "_demeaned", cached)
         return cached
 
@@ -150,13 +146,14 @@ class RateSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "dates", tuple(self.dates))
-        values = np.asarray(self.values, dtype=float).reshape(-1)
+        values = np.array(self.values, dtype=float).reshape(-1)
         if values.shape[0] != len(self.dates):
             raise DataError("rate series length does not match its dates")
         if not np.all(np.isfinite(values)):
             raise DataError("non-finite value in rate series")
         _check_dates(self.dates)
-        object.__setattr__(self, "values", _freeze(values))
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
 
 def _read_table(path, config: ParseConfig):
@@ -204,10 +201,13 @@ def _read_plain_table(path: Path, config: ParseConfig):
             text = fh.read()
     except UnicodeDecodeError:
         return None
-    if any(ch in text for ch in _NOT_PLAIN) or text.count("\r") != text.count("\r\n"):
+    if any(ch in text for ch in _NOT_PLAIN):
         return None
-    lines = [line for line in text.replace("\r\n", "\n").split("\n")
-             if line and not line.lstrip().startswith("#")]
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    lines = [line for line in text.split("\n") if line and not line.lstrip().startswith("#")]
     if len(lines) < 2:
         return None
     names = [cell.strip() for cell in lines[0].split(sep)[1:]]

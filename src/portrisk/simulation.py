@@ -4,14 +4,16 @@ Synthetic markets follow a three-factor model: loadings are drawn from a
 trivariate Gaussian, factors follow a stationary VAR(1), and errors are
 Gaussian with a sparse-by-construction covariance D * Sigma0 * D whose
 correlation matrix is hard-thresholded at the smallest level that makes
-it positive definite.  That level is found by bisection; a midpoint is
-decided on the principal block of the rows that keep an off-diagonal entry
-there (the thresholded matrix is the identity outside them), factoring
-leading blocks of those rows at growing sizes and stopping at the first
-that fails.  The calibrated error covariance keeps few such rows, so the
-errors take a Cholesky product only on the coupled rows and the true
-portfolio variances are assembled from the loadings, the error variances
-and that block, without an N x N product.
+it positive definite.  The correlations are held as the flat upper
+triangle they are drawn in, never as an N x N matrix.  The level is found
+by bisection; a midpoint is decided on the principal block of the rows that
+keep an off-diagonal entry there (the thresholded matrix is the identity
+outside them), gathered from the triangle, factoring leading blocks of
+those rows at growing sizes and stopping at the first that fails.  The
+calibrated error covariance keeps few such rows, so the errors take a
+Cholesky product only on the coupled rows and the true portfolio variances
+are assembled from the loadings, the error variances and that block,
+without an N x N product.
 The shipped loading and factor parameters are calibrated to daily data
 in percent units (a value of 1.0 means 1% per period), so simulated
 risks annualize to realistic equity magnitudes.
@@ -307,12 +309,6 @@ def _draw_error_sds(params: CalibrationParams, N: int, rng) -> np.ndarray:
     return out[:N]
 
 
-def _hard_threshold_corr(corr: np.ndarray, level: float) -> np.ndarray:
-    out = np.where(np.abs(corr) <= level, 0.0, corr)
-    np.fill_diagonal(out, 1.0)
-    return out
-
-
 def _is_pd(matrix: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(matrix)
@@ -325,95 +321,93 @@ def _is_pd(matrix: np.ndarray) -> bool:
 _LEADING_BLOCKS = (32, 128, 512)
 
 
-def _rows_of(i: np.ndarray, j: np.ndarray, N: int) -> np.ndarray:
-    """The sorted rows that the entries at positions (i, j) touch."""
-    touched = np.zeros(N, dtype=bool)
-    touched[i] = True
-    touched[j] = True
-    return np.flatnonzero(touched)
+class _Triangle:
+    """The off-diagonal entries of a unit-diagonal correlation matrix as its
+    flat upper triangle, row by row: entry (i, j), i < j, sits at position
+    starts[i] + j - i - 1.  The magnitudes and the sign bits are kept apart,
+    so comparing the entries with a level is one pass over the magnitudes."""
 
+    def __init__(self, draws: np.ndarray, N: int):
+        """draws: the N(N-1)/2 entries, overwritten with their magnitudes."""
+        self.negative = np.signbit(draws)
+        self.mags = np.abs(draws, out=draws)
+        rows = np.arange(N)
+        self.starts = rows * (2 * N - rows - 1) // 2
 
-def _thresholded_is_pd(corr: np.ndarray, rows: np.ndarray, level: float) -> bool:
-    """Whether corr hard-thresholded at level is positive definite.
+    def rows_of(self, at: np.ndarray) -> np.ndarray:
+        """The sorted rows that the entries at positions at touch."""
+        i = np.searchsorted(self.starts, at, side="right") - 1
+        touched = np.zeros(self.starts.size, dtype=bool)
+        touched[i] = touched[at - self.starts[i] + i + 1] = True
+        return np.flatnonzero(touched)
 
-    rows are sorted and hold every row that keeps an off-diagonal entry
-    at level; the thresholded matrix is the identity outside them, so it
-    is PD exactly when their principal block is.  Leading blocks of rows
-    are factored first, at the sizes of _LEADING_BLOCKS: a principal
-    submatrix of a PD matrix is PD, so the first block that fails decides,
-    and only a block that passes moves on to the next size and finally to
-    all of rows.  Each block is copied and thresholded on its own.
-    """
-    def block_is_pd(block):
-        return _is_pd(_hard_threshold_corr(corr[np.ix_(block, block)], level))
+    def block(self, rows: np.ndarray, level: float) -> np.ndarray:
+        """The principal block on the sorted rows of the matrix hard-thresholded
+        at level (an entry of magnitude at most level becomes 0), gathered
+        from the triangle."""
+        m = rows.size
+        upper = rows[:, None] < rows
+        at = ((self.starts[rows] - rows - 1)[:, None] + rows)[upper]
+        kept = self.mags[at] > level
+        upper[upper] = kept
+        at = at[kept]
+        out = np.zeros((m, m))
+        out[upper] = np.where(self.negative[at], -self.mags[at], self.mags[at])
+        out += out.T
+        out.flat[::m + 1] = 1.0
+        return out
 
-    for size in _LEADING_BLOCKS:
-        if size >= rows.size:
-            break
-        if not block_is_pd(rows[:size]):
-            return False
-    return block_is_pd(rows)
+    def is_pd(self, rows: np.ndarray, level: float) -> bool:
+        """Whether the matrix hard-thresholded at level is positive definite.
+
+        rows are sorted and hold every row that keeps an off-diagonal entry
+        at level, so the matrix is PD exactly when their principal block is.
+        Leading blocks of rows are factored first, at the sizes of
+        _LEADING_BLOCKS: a principal submatrix of a PD matrix is PD, so the
+        first block that fails decides, and only a block that passes moves on.
+        """
+        for size in _LEADING_BLOCKS:
+            if size >= rows.size:
+                break
+            if not _is_pd(self.block(rows[:size], level)):
+                return False
+        return _is_pd(self.block(rows, level))
 
 
 def _error_corr(params: CalibrationParams, N: int, rng):
-    """Error sds, the thresholded correlation matrix and its level."""
+    """Error sds, the coupled rows b, the thresholded correlation block on b
+    and the threshold level."""
     if N < 1:
         raise DataError("N must be at least 1")
     sds = _draw_error_sds(params, N, rng)
-    corr = np.eye(N)
-    i, j = np.triu_indices(N, k=1)
-    draws = rng.normal(params.corr_mean, params.corr_sd, size=i.size)
+    draws = rng.normal(params.corr_mean, params.corr_sd, size=N * (N - 1) // 2)
     np.clip(draws, -params.corr_cap, params.corr_cap, out=draws)
-    corr[i, j] = draws
-    corr[j, i] = draws
-
-    # the candidates, entries that may survive a level, and their positions
-    mags = np.abs(draws, out=draws)
-    if _thresholded_is_pd(corr, np.arange(N), 0.0):
-        threshold = 0.0
+    tri = _Triangle(draws, N)
+    mags = tri.mags
+    if tri.is_pd(np.arange(N), 0.0):
+        hi, kept = 0.0, np.flatnonzero(mags)
     else:
         # smallest hard-threshold level restoring positive definiteness,
         # found by bisection and biased to the PD side of the bracket.
         # The matrix at lo is never PD and the one at hi always is; when no
         # |corr| lies in (lo, mid] or in (mid, hi], the matrix at mid is the
         # one at lo or at hi, so its status is known without a factorization.
-        # Each rise of lo drops the candidates at or below it, so a midpoint
-        # scans only the entries above lo (every entry, while lo is 0).
-        lo, hi = 0.0, float(mags.max())
-        n_hi = 0  # entries above hi
+        # kept holds the positions of the entries above hi, and a midpoint
+        # scans every entry until a factorization raises lo, then only the
+        # positions at of the entries above lo.
+        lo, hi, kept = 0.0, float(mags.max()), np.empty(0, dtype=np.intp)
+        at, count = None, mags.size
         while hi - lo > 1e-6:
             mid = (lo + hi) / 2.0
-            above = np.flatnonzero(mags > mid)
-            if above.size == mags.size:
+            above = np.flatnonzero(mags > mid) if at is None else at[mags[at] > mid]
+            if above.size == count:
                 lo = mid
-            elif above.size == n_hi or _thresholded_is_pd(
-                    corr, _rows_of(i[above], j[above], N), mid):
-                hi, n_hi = mid, above.size
+            elif above.size == kept.size or tri.is_pd(tri.rows_of(above), mid):
+                hi, kept = mid, above
             else:
-                lo = mid
-                i, j, mags = i[above], j[above], mags[above]
-        threshold = hi
-        # the thresholded matrix, scattered from the surviving entries into
-        # the memory of the raw one
-        keep = np.flatnonzero(mags > threshold)
-        i, j = i[keep], j[keep]
-        values = corr[i, j]
-        corr.fill(0.0)
-        np.fill_diagonal(corr, 1.0)
-        corr[i, j] = values
-        corr[j, i] = values
-    return sds, corr, threshold
-
-
-def _error_cov_detail(params: CalibrationParams, N: int, rng):
-    """Error covariance plus the correlation matrix and threshold used."""
-    sds, corr, threshold = _error_corr(params, N, rng)
-    return corr * np.outer(sds, sds), corr, threshold
-
-
-def _coupled_rows(matrix: np.ndarray) -> np.ndarray:
-    """The rows of a square matrix that keep a nonzero off-diagonal entry."""
-    return np.flatnonzero(np.count_nonzero(matrix, axis=1) > (np.diagonal(matrix) != 0))
+                lo, at, count = mid, above, above.size
+    b = tri.rows_of(kept)
+    return sds, b, tri.block(b, hi), hi
 
 
 def generate_error_cov(params: CalibrationParams, N: int, rng):
@@ -422,12 +416,11 @@ def generate_error_cov(params: CalibrationParams, N: int, rng):
 
     Returns (error_var, coupled, coupled_block): the error variances (the
     diagonal of Sigma_u), the sorted rows b that keep an off-diagonal
-    entry, and the block Sigma_u[b, b], each entry the product the dense
-    matrix _error_cov_detail returns holds.
+    entry, and the block Sigma_u[b, b], each entry the product
+    Sigma0[i, j] * (sd_i * sd_j) of the dense matrix.
     """
-    sds, corr, _ = _error_corr(params, N, rng)
-    b = _coupled_rows(corr)
-    return sds * sds, b, corr[np.ix_(b, b)] * np.outer(sds[b], sds[b])
+    sds, b, corr_b, _ = _error_corr(params, N, rng)
+    return sds * sds, b, corr_b * np.outer(sds[b], sds[b])
 
 
 def stationary_mean(params: CalibrationParams) -> np.ndarray:

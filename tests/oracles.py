@@ -16,9 +16,13 @@ ensure_positive_definite_eigvalsh is the package's PD repair from before
 it let a failed Cholesky factorization reject a matrix: every verdict
 comes from the smallest eigenvalue.  It re-thresholds through the
 estimate's own recipe.
-dense_model_instance is the package's market assembly from before a
-model instance kept its error covariance in parts: it draws through the
-package's loading and dense error-covariance generators and forms the
+The dense error-covariance helpers replay the package's model stream:
+raw_error_corr draws the error sds through the package's sampler and then
+the correlations, and dense_error_cov thresholds the N x N correlation
+matrix by a plain bisection that factors the whole matrix at every
+midpoint.  dense_model_instance is the package's market assembly from
+before a model instance kept its error covariance in parts: it draws
+through the package's loading generator and dense_error_cov and forms the
 N x N true covariance.
 """
 
@@ -31,7 +35,7 @@ from scipy import special, stats
 from portrisk.errors import DataError, NumericalError
 from portrisk.estimators import CovarianceEstimate
 from portrisk.portfolios import Portfolio, SolverOptions, _exposure_value
-from portrisk.simulation import _error_cov_detail, generate_loadings, solve_lyapunov
+from portrisk.simulation import _draw_error_sds, generate_loadings, solve_lyapunov
 
 
 def quantile_oracle(p: float) -> float:
@@ -345,10 +349,66 @@ def ensure_positive_definite_eigvalsh(estimate: CovarianceEstimate) -> Covarianc
     raise NumericalError(f"still not positive definite after 20 doublings (C={C:g})")
 
 
+# ------------------------------------------------ dense error covariance
+
+def raw_error_corr(params, N: int, rng):
+    """Error sds and the unthresholded correlation matrix, in draw order:
+    the sds, then the correlations of the upper triangle row by row."""
+    sds = _draw_error_sds(params, N, rng)
+    corr = np.eye(N)
+    iu = np.triu_indices(N, k=1)
+    draws = np.clip(rng.normal(params.corr_mean, params.corr_sd, size=iu[0].size),
+                    -params.corr_cap, params.corr_cap)
+    corr[iu] = draws
+    corr[(iu[1], iu[0])] = draws
+    return sds, corr
+
+
+def hard_threshold_corr(corr: np.ndarray, level: float) -> np.ndarray:
+    """corr with every off-diagonal entry of magnitude at most level set to 0."""
+    out = np.where(np.abs(corr) <= level, 0.0, corr)
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
+def is_pd(matrix: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(matrix)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def coupled_rows(matrix: np.ndarray) -> np.ndarray:
+    """The rows of a square matrix that keep a nonzero off-diagonal entry."""
+    return np.flatnonzero(np.count_nonzero(matrix, axis=1) > (np.diagonal(matrix) != 0))
+
+
+def dense_error_cov(params, N: int, rng):
+    """(Sigma_u, corr, threshold): the dense error covariance, the
+    thresholded correlation matrix and its level.  The level is the
+    bisection's upper end, 0 when the raw matrix is PD: it halves
+    [0, max |corr|] until it is 1e-6 wide, factoring the whole thresholded
+    matrix at every midpoint."""
+    sds, corr = raw_error_corr(params, N, rng)
+    threshold = 0.0
+    if not is_pd(corr):
+        lo, hi = 0.0, float(np.max(np.abs(corr - np.eye(N))))
+        while hi - lo > 1e-6:
+            mid = (lo + hi) / 2.0
+            if is_pd(hard_threshold_corr(corr, mid)):
+                hi = mid
+            else:
+                lo = mid
+        threshold = hi
+        corr = hard_threshold_corr(corr, threshold)
+    return corr * np.outer(sds, sds), corr, threshold
+
+
 def dense_model_instance(params, N: int, rng):
     """(B, Sigma_u, Sigma_true, Sigma_eps) of one market, every matrix dense."""
     B = generate_loadings(params, N, rng)
-    Sigma_u = _error_cov_detail(params, N, rng)[0]
+    Sigma_u = dense_error_cov(params, N, rng)[0]
     Sigma_true = B @ params.cov_f @ B.T + Sigma_u
     Sigma_eps = solve_lyapunov(params.Phi, params.cov_f)
     return B, Sigma_u, Sigma_true, Sigma_eps

@@ -239,6 +239,26 @@ def test_negative_truncated_sum_clamps_and_warns():
     assert lrv.gammas[0] > 0 > lrv.gammas[1]
 
 
+def test_clamped_warning_points_at_the_caller():
+    # the warning names the first frame outside the package, whichever
+    # public function the caller entered through
+    values = np.where(np.arange(50) % 2 == 0, 1.0, 2.0)[:, None] * np.ones(2)
+    panel = make_panel(values)
+    w = pr.equal_weight(2)
+    fitted = pr.EstimatorSpec("sample", demean=False).fit(panel)
+    calls = {
+        "long_run_variances": lambda: pr.long_run_variances(*fitted.series(w.weights[:, None]), 1),
+        "assess": lambda: fitted.assess(w.weights[:, None], 1, 2.0),
+        "autocov_sample": lambda: pr.autocov_sample(panel, w, L=1, demean=False),
+        "autocov_poet": lambda: pr.autocov_poet(pr.pca_factor_fit(panel, 1, demean=False), w, L=1),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [(c.category, c.filename) for c in caught] == [(RuntimeWarning, __file__)], name
+
+
 def _lrv_columns(T, P, seed):
     """P test series; every other column alternates so L odd clamps it."""
     rng = np.random.default_rng(seed)

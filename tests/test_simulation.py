@@ -5,6 +5,7 @@ import logging
 import os
 import pickle
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,15 +18,11 @@ from portrisk.assessment import _quad_forms
 from portrisk.simulation import (
     default_workers,
     stationary_mean,
-    _draw_error_sds,
     _block_size,
     _correlated_errors,
-    _coupled_rows,
-    _error_cov_detail,
+    _error_corr,
     _generate_market,
     _generate_markets,
-    _hard_threshold_corr,
-    _is_pd,
     _Market,
     _run_task,
 )
@@ -201,37 +198,38 @@ def test_generate_loadings_degenerate_dispersion():
         pr.generate_loadings(p, 0, pr.derive_rng(173, "bad"))
 
 
+def _assert_parts_equal_dense(params, N, make_rng):
+    """generate_error_cov's parts, and _error_corr's threshold, equal the
+    dense reference's bit for bit, each on a fresh make_rng(); returns the
+    reference."""
+    sigma_u, corr, threshold = oracles.dense_error_cov(params, N, make_rng())
+    assert _error_corr(params, N, make_rng())[3] == threshold
+    b = oracles.coupled_rows(sigma_u)
+    got = pr.generate_error_cov(params, N, make_rng())
+    for part, want in zip(got, (np.diagonal(sigma_u), b, sigma_u[np.ix_(b, b)])):
+        assert part.shape == want.shape and part.tobytes() == want.tobytes()
+    return sigma_u, corr, threshold
+
+
 def test_error_cov_zero_correlation_is_diagonal():
     p = dataclasses.replace(pr.default_calibration(), corr_mean=0.0, corr_sd=0.0)
-    S = _error_cov_detail(p, 12, pr.derive_rng(175, "diag"))[0]
+    S = _assert_parts_equal_dense(p, 12, lambda: pr.derive_rng(175, "diag"))[0]
     off = ~np.eye(12, dtype=bool)
     assert np.all(S[off] == 0.0)
     assert np.all(np.diag(S) >= p.sd_min ** 2)
     assert np.all(np.diag(S) <= p.sd_max ** 2)
     error_var, coupled, block = pr.generate_error_cov(p, 12, pr.derive_rng(175, "diag"))
-    assert np.array_equal(error_var, np.diag(S))
     assert coupled.size == 0 and block.shape == (0, 0)
 
 
 def test_error_cov_positive_definite_at_scale():
-    S = _error_cov_detail(pr.default_calibration(), 100, np.random.default_rng(55))[0]
+    S = _assert_parts_equal_dense(pr.default_calibration(), 100,
+                                  lambda: np.random.default_rng(55))[0]
     assert np.linalg.eigvalsh(S)[0] > 0
     error_var, coupled, block = pr.generate_error_cov(
         pr.default_calibration(), 100, np.random.default_rng(55))
-    assert np.array_equal(error_var, np.diag(S))
-    assert np.array_equal(block, S[np.ix_(coupled, coupled)])
-
-
-def _raw_error_corr(params, N, rng):
-    """Error sds and the unthresholded correlation matrix, in draw order."""
-    sds = _draw_error_sds(params, N, rng)
-    corr = np.eye(N)
-    iu = np.triu_indices(N, k=1)
-    draws = np.clip(rng.normal(params.corr_mean, params.corr_sd, size=iu[0].size),
-                    -params.corr_cap, params.corr_cap)
-    corr[iu] = draws
-    corr[(iu[1], iu[0])] = draws
-    return sds, corr
+    assert 0 < coupled.size < 100
+    assert np.linalg.eigvalsh(block)[0] > 0
 
 
 def test_error_cov_threshold_is_minimal():
@@ -239,42 +237,39 @@ def test_error_cov_threshold_is_minimal():
     # rebuild the raw correlation matrix, then check the returned
     # threshold restores positive definiteness while half of it does not
     p = pr.default_calibration()
-    sigma_u, corr_used, threshold = _error_cov_detail(p, 100, np.random.default_rng(55))
-    _, raw = _raw_error_corr(p, 100, np.random.default_rng(55))
-    assert not _is_pd(raw)
+    sds, b, corr_b, threshold = _error_corr(p, 100, np.random.default_rng(55))
+    _, raw = oracles.raw_error_corr(p, 100, np.random.default_rng(55))
+    assert not oracles.is_pd(raw)
     assert threshold == pytest.approx(0.8139342579259045, abs=1e-9)
-    assert _is_pd(_hard_threshold_corr(raw, threshold))
-    assert not _is_pd(_hard_threshold_corr(raw, threshold / 2.0))
-    assert np.array_equal(corr_used, _hard_threshold_corr(raw, threshold))
-    assert np.linalg.eigvalsh(sigma_u)[0] > 0
+    used = oracles.hard_threshold_corr(raw, threshold)
+    assert oracles.is_pd(used)
+    assert not oracles.is_pd(oracles.hard_threshold_corr(raw, threshold / 2.0))
+    assert np.array_equal(b, oracles.coupled_rows(used))
+    assert np.array_equal(corr_b, used[np.ix_(b, b)])
+    assert np.linalg.eigvalsh(corr_b * np.outer(sds[b], sds[b]))[0] > 0
 
 
-def _plain_bisection_error_cov(params, N, rng):
-    """The threshold search with a factorization at every midpoint."""
-    sds, corr = _raw_error_corr(params, N, rng)
-    threshold = 0.0
-    if not _is_pd(corr):
-        lo, hi = 0.0, float(np.max(np.abs(corr - np.eye(N))))
-        while hi - lo > 1e-6:
-            mid = (lo + hi) / 2.0
-            if _is_pd(_hard_threshold_corr(corr, mid)):
-                hi = mid
-            else:
-                lo = mid
-        threshold = hi
-        corr = _hard_threshold_corr(corr, threshold)
-    return corr * np.outer(sds, sds), corr, threshold
-
-
-@pytest.mark.parametrize("N", [2, 20, 100, 300, 600])
+@pytest.mark.parametrize("N", [1, 2, 3, 20, 100, 300, 600])
 def test_error_cov_search_equals_plain_bisection(N):
     params = pr.default_calibration()
     for seed in range(3):
-        got = _error_cov_detail(params, N, pr.derive_rng(seed, "bisect", N))
-        want = _plain_bisection_error_cov(params, N, pr.derive_rng(seed, "bisect", N))
-        assert got[2] == want[2]
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        _assert_parts_equal_dense(params, N, lambda: pr.derive_rng(seed, "bisect", N))
+
+
+def test_error_cov_generation_holds_no_dense_matrix():
+    # the correlations stay in their flat upper triangle (8 N(N-1)/2
+    # bytes) and the factored blocks are small, so generation never holds
+    # as much as one N x N float array
+    params, N = pr.default_calibration(), 600
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        tracemalloc.start()
+        try:
+            pr.generate_error_cov(params, N, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * N * N, peak
 
 
 def test_error_cov_block_decisions_equal_full_factorizations(monkeypatch):
@@ -283,11 +278,11 @@ def test_error_cov_block_decisions_equal_full_factorizations(monkeypatch):
     # all of those rows; the full matrix thresholded at the same level must
     # get the same decision, and every path must run
     decisions = []
-    real_decide, real_is_pd = sim._thresholded_is_pd, sim._is_pd
+    real_decide, real_is_pd = sim._Triangle.is_pd, sim._is_pd
 
-    def decide(corr, rows, level):
+    def decide(tri, rows, level):
         decisions.append([level, rows.size, []])
-        result = real_decide(corr, rows, level)
+        result = real_decide(tri, rows, level)
         decisions[-1].append(result)
         return result
 
@@ -296,7 +291,7 @@ def test_error_cov_block_decisions_equal_full_factorizations(monkeypatch):
         decisions[-1][2].append((matrix.shape[0], result))
         return result
 
-    monkeypatch.setattr(sim, "_thresholded_is_pd", decide)
+    monkeypatch.setattr(sim._Triangle, "is_pd", decide)
     monkeypatch.setattr(sim, "_is_pd", is_pd)
     params = pr.default_calibration()
     mismatches = 0
@@ -304,10 +299,10 @@ def test_error_cov_block_decisions_equal_full_factorizations(monkeypatch):
     for N in (20, 100, 300, 600):
         for seed in range(3):
             decisions.clear()
-            _error_cov_detail(params, N, pr.derive_rng(seed, "decide", N))
-            _, raw = _raw_error_corr(params, N, pr.derive_rng(seed, "decide", N))
+            pr.generate_error_cov(params, N, pr.derive_rng(seed, "decide", N))
+            _, raw = oracles.raw_error_corr(params, N, pr.derive_rng(seed, "decide", N))
             for level, n_rows, blocks, decided in decisions:
-                mismatches += decided != real_is_pd(_hard_threshold_corr(raw, level))
+                mismatches += decided != oracles.is_pd(oracles.hard_threshold_corr(raw, level))
                 sizes = [size for size, _ in blocks]
                 leading = [size for size in sim._LEADING_BLOCKS if size < n_rows]
                 assert sizes == (leading + [n_rows])[:len(sizes)]
@@ -322,26 +317,28 @@ def test_error_cov_block_decisions_equal_full_factorizations(monkeypatch):
 
 def test_error_cov_keeps_every_entry_when_pd_at_level_zero():
     p = dataclasses.replace(pr.default_calibration(), corr_mean=0.0, corr_sd=0.01)
-    sigma_u, corr_used, threshold = _error_cov_detail(p, 20, pr.derive_rng(181, "zero"))
-    sds, raw = _raw_error_corr(p, 20, pr.derive_rng(181, "zero"))
-    assert _is_pd(raw)
+    sigma_u, corr_used, threshold = _assert_parts_equal_dense(p, 20, lambda: pr.derive_rng(181, "zero"))
+    sds, raw = oracles.raw_error_corr(p, 20, pr.derive_rng(181, "zero"))
+    assert oracles.is_pd(raw)
     assert threshold == 0.0
     assert np.array_equal(corr_used, raw)
     assert np.count_nonzero(corr_used) == 20 * 20
     assert np.array_equal(sigma_u, raw * np.outer(sds, sds))
+    _, b, corr_b, _ = _error_corr(p, 20, pr.derive_rng(181, "zero"))
+    assert np.array_equal(b, np.arange(20)) and np.array_equal(corr_b, raw)
 
 
 def test_error_cov_search_ending_at_the_cap_gives_a_diagonal_matrix():
     # nearly every correlation is clipped to +-corr_cap with a random sign,
     # so no level below the cap leaves a PD matrix
     p = dataclasses.replace(pr.default_calibration(), corr_mean=0.0, corr_sd=10.0)
-    got = _error_cov_detail(p, 50, pr.derive_rng(183, "cap"))
-    want = _plain_bisection_error_cov(p, 50, pr.derive_rng(183, "cap"))
-    sds, _ = _raw_error_corr(p, 50, pr.derive_rng(183, "cap"))
-    assert got[2] == want[2] == p.corr_cap
-    assert np.array_equal(got[1], np.eye(50))
-    assert np.array_equal(got[0], np.diag(sds ** 2))
-    assert np.array_equal(got[0], want[0])
+    sigma_u, corr, threshold = _assert_parts_equal_dense(p, 50, lambda: pr.derive_rng(183, "cap"))
+    sds, _ = oracles.raw_error_corr(p, 50, pr.derive_rng(183, "cap"))
+    assert threshold == p.corr_cap
+    assert np.array_equal(corr, np.eye(50))
+    assert np.array_equal(sigma_u, np.diag(sds ** 2))
+    error_var, coupled, block = pr.generate_error_cov(p, 50, pr.derive_rng(183, "cap"))
+    assert coupled.size == 0 and block.shape == (0, 0)
 
 
 def test_var1_factors_shape_and_degenerate_limit():
@@ -571,11 +568,11 @@ def test_block_error_product_and_true_variance_equal_the_dense_formulas(structur
     # innovations, errors
     rng = pr.derive_rng(seed, "model", N, 60, 0)
     pr.generate_loadings(params, N, rng)
-    sigma_u, _, threshold = _error_cov_detail(params, N, rng)
+    sigma_u, _, threshold = oracles.dense_error_cov(params, N, rng)
     F = pr.generate_var1_factors(params, 60, rng)
     Z = rng.standard_normal((60, N))
     assert np.array_equal(sigma_u, Sigma_u)
-    coupled = _coupled_rows(Sigma_u)
+    coupled = oracles.coupled_rows(Sigma_u)
     if structure == "dense":
         assert threshold == 0.0 and coupled.size == N
     elif structure == "block":
@@ -602,7 +599,7 @@ def test_model_instance_parts_and_matrices_equal_the_dense_build(structure):
     inst = pr.build_model_instance(params, N, pr.derive_rng(seed, "model", N, 60, 0))
     B, Sigma_u, Sigma_true, Sigma_eps = oracles.dense_model_instance(
         params, N, pr.derive_rng(seed, "model", N, 60, 0))
-    b = _coupled_rows(Sigma_u)
+    b = oracles.coupled_rows(Sigma_u)
     assert {"dense": b.size == N, "block": 0 < b.size < N, "diagonal": b.size == 0}[structure]
     assert inst.B.tobytes() == B.tobytes()
     assert inst.cov_f is params.cov_f
