@@ -307,7 +307,7 @@ def run_empirical_study(
         config=config,
         n_rebalances=n_reb,
         n_assets=returns.N,
-        first_hold_date=returns.dates[W] if returns.T > W else returns.dates[-1],
+        first_hold_date=returns.dates[W],
         last_date=returns.dates[W + n_reb * H - 1],
         records=tuple(records),
         skipped=tuple(skipped),

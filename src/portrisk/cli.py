@@ -214,6 +214,17 @@ def _fit(args):
     return returns, spec.fit(returns, factors)
 
 
+def _run_study(run, *args, **kwargs):
+    """run(*args, **kwargs), each RuntimeWarning it raises shown as one
+    'warning: <message>' line on stderr, without a source location."""
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+        warnings.showwarning = lambda message, category, *rest: (
+            print(f"warning: {message}", file=sys.stderr)
+            if issubclass(category, RuntimeWarning) else show(message, category, *rest))
+        return run(*args, **kwargs)
+
+
 @single_thread()
 def _cmd_estimate(args) -> int:
     returns, fitted = _fit(args)
@@ -321,8 +332,8 @@ def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else cfg.base_seed
     config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
     out = _outdir(args)
-    report = engine.run_experiment(cfg.cells, cfg.replications, workers=args.threads,
-                                   base_seed=seed)
+    report = _run_study(engine.run_experiment, cfg.cells, cfg.replications,
+                        workers=args.threads, base_seed=seed)
     header = make_header_lines(seed=seed, config_hash=config_hash)
     cells_path = out / f"{args.out_prefix}_cells.csv"
     figures_path = out / f"{args.out_prefix}_figures.csv"
@@ -349,7 +360,7 @@ def _cmd_empirical(args) -> int:
     )
     returns, factors = _load_panels(args, need_factors="factor" in estimators)
     out = _outdir(args)
-    report = run_empirical_study(returns, factors, config)
+    report = _run_study(run_empirical_study, returns, factors, config)
     header = make_header_lines()
     records_path = out / f"{args.out_prefix}_records.csv"
     summary_path = out / f"{args.out_prefix}_summary.csv"

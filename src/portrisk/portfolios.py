@@ -176,17 +176,15 @@ def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     return np.maximum(v - css[rho] / (rho + 1), 0.0)
 
 
-# Accelerated projected-gradient iterations whose signs start the
-# active-set finish, and the cap on that finish's steps.  On N=300
-# backtest windows the finish settles in 3-6 steps from 25 iterations.
-_WARM_UP = 25
+# the cap on the steps of one active-set run; on N=300 backtest windows
+# the run from the projected GMV signs settles in a few steps
 _ACTIVE_SET_STEPS = 20
 
 
-def _sign_pattern(w: np.ndarray, c: float, support_cut: float) -> np.ndarray:
-    """Signs of the entries of w larger than support_cut times its largest
+def _sign_pattern(w: np.ndarray, c: float) -> np.ndarray:
+    """Signs of the entries of w larger than 1e-6 times its largest
     magnitude, and zero elsewhere.  For c = 1 every support sign is +1."""
-    support = np.abs(w) > support_cut * float(np.max(np.abs(w)))
+    support = np.abs(w) > 1e-6 * float(np.max(np.abs(w)))
     return np.where(support, 1.0 if c == 1.0 else np.sign(w), 0.0)
 
 
@@ -245,25 +243,15 @@ def _kkt_solve(M: np.ndarray, pattern: np.ndarray, c: float):
     return full, nxt, mu >= -gtol
 
 
-def _certify_kkt(M: np.ndarray, pattern: np.ndarray, c: float):
-    """The optimal weights if the solution on the signed support `pattern`
-    satisfies the full KKT system, else None."""
-    step = _kkt_solve(M, pattern, c)
-    if step is None:
-        return None
-    w, nxt, mu_ok = step
-    return w if mu_ok and np.array_equal(nxt, pattern) else None
-
-
 def _active_set(M: np.ndarray, pattern: np.ndarray, c: float):
     """Primal-dual active-set method (Hintermueller, Ito & Kunisch 2003)
     from a signed support.
 
-    Steps the support until it stops changing; the step on which it settled
-    is the _certify_kkt check of that support, so its weights are returned
-    if its exposure multiplier is admissible, without solving again.
-    Returns None when a system is singular, the multiplier is negative or
-    the support has not settled within _ACTIVE_SET_STEPS steps.
+    Steps the support until it stops changing.  The settled step is the
+    full KKT check of that support, so its weights, the exact optimum, are
+    returned without solving again if the exposure multiplier is
+    admissible.  Returns None when a system is singular, the multiplier is
+    negative or the support has not settled within _ACTIVE_SET_STEPS steps.
     """
     for _ in range(_ACTIVE_SET_STEPS):
         step = _kkt_solve(M, pattern, c)
@@ -283,28 +271,26 @@ def min_variance(estimate: CovarianceEstimate, c, opts: SolverOptions | None = N
     solution has ||w||_1 = c.  If the unconstrained minimum-variance
     portfolio already fits the budget it is returned directly.  Otherwise
     the problem is split as w = p - n with p on a simplex of mass
-    (c+1)/2 and n on a simplex of mass (c-1)/2 and solved by accelerated
-    projected gradient (APG) with adaptive restarts:
+    (c+1)/2 and n on a simplex of mass (c-1)/2:
 
-    - After a warm-up of _WARM_UP iterations, a primal-dual active-set
-      loop starts from the signs of the iterate.  It solves the KKT system
-      on the signed support, drops entries of the wrong sign and adds
-      entries that break the KKT condition, until the support settles.  A
-      settled support that passes the KKT check is the exact optimum, and
-      it is returned.
-    - If the loop fails (a singular system, no settled support within
-      _ACTIVE_SET_STEPS steps, or a failed check), APG goes on, and every
-      100 iterations the KKT check runs on the iterate's support at three
-      cut-offs; the first certified result is returned.
+    - The primal-dual active-set method starts from the signs of the
+      unconstrained weights projected onto the two simplices.  It solves
+      the KKT system on the signed support, drops entries of the wrong
+      sign and adds entries that break the KKT condition until the
+      support settles; a settled support is the exact optimum.
+    - Only if it fails (a singular system, no settled support within
+      _ACTIVE_SET_STEPS steps, or a negative exposure multiplier) does
+      accelerated projected gradient (APG) with adaptive restarts run,
+      retrying the method from its iterate's signs every 100 iterations
+      and returning the first settled result.
     - APG stops as "stalled" when the objective moved by at most opts.tol
       (relative) over two successive 100-iteration windows.  It then
       returns its last, uncertified iterate and emits a RuntimeWarning
       with the iteration count and the last relative objective change.
       Reaching opts.max_iter without stalling raises NumericalError.
 
-    A certified result depends only on the support and its signs, so when
-    the active-set finish settles on the support APG would certify later,
-    it returns the same weights, bit for bit.
+    A certified result depends only on the support and its signs, so it
+    is the same, bit for bit, from whichever start the method settled.
 
     An estimate whose smallest eigenvalue is not above 1e-10 raises
     NumericalError.  When a failed Cholesky factorization bounds it below
@@ -329,6 +315,11 @@ def min_variance(estimate: CovarianceEstimate, c, opts: SolverOptions | None = N
 
     mass_p = (c + 1.0) / 2.0
     mass_n = (c - 1.0) / 2.0
+    start = _project_simplex(gmv, mass_p) - _project_simplex(-gmv, mass_n)
+    finished = _active_set(M, _sign_pattern(start, c), c)
+    if finished is not None:
+        return Portfolio(finished)
+
     step = 1.0 / (4.0 * estimate.max_eigenvalue)
 
     p = _project_simplex(np.full(N, 1.0 / N), mass_p)
@@ -361,15 +352,10 @@ def min_variance(estimate: CovarianceEstimate, c, opts: SolverOptions | None = N
         yn = n_new + beta * (n_new - n)
         p, n, fx, t = p_new, n_new, f_new, t_new
 
-        if it == _WARM_UP:
-            finished = _active_set(M, _sign_pattern(p - n, c, 1e-6), c)
+        if it % 100 == 0:
+            finished = _active_set(M, _sign_pattern(p - n, c), c)
             if finished is not None:
                 return Portfolio(finished)
-        if it % 100 == 0:
-            for cut in (1e-6, 1e-4, 1e-8):
-                refined = _certify_kkt(M, _sign_pattern(p - n, c, cut), c)
-                if refined is not None:
-                    return Portfolio(refined)
             change = f_window - fx
             if change <= opts.tol * max(fx, 1e-300):
                 if stalled:

@@ -874,8 +874,9 @@ def run_experiment(grid, replications: int, workers: int | None = None,
     consecutive replications of it, and simulates each of them once for
     all of the market's cells.  Each finished task logs one INFO line;
     long-run variances clamped at zero anywhere in the run raise one
-    RuntimeWarning with their total.  Every task runs with numpy's BLAS
-    on one thread, serially and in the pool workers alike (see
+    RuntimeWarning with their total.  A pool forks all its workers at
+    once, so it gets at most one per task.  Every task runs with numpy's
+    BLAS on one thread, serially and in the pool workers alike (see
     portrisk.blas); the caller's BLAS thread count is restored on return.
     """
     grid = tuple(grid)
@@ -908,9 +909,10 @@ def run_experiment(grid, replications: int, workers: int | None = None,
                      done, len(tasks))
             yield batch
 
+    workers = min(workers, len(tasks))
     fn = partial(_run_task, grid, markets, base_seed)
     with single_thread():
-        if workers == 1 or len(tasks) == 1:
+        if workers == 1:
             results = list(logged(map(fn, tasks)))
         else:
             from concurrent.futures import ProcessPoolExecutor

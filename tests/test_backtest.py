@@ -343,9 +343,12 @@ def test_wide_study_decomposes_and_solves_each_kept_estimate_once(monkeypatch):
 def test_wide_study_solves_each_kkt_system_once(monkeypatch):
     # the same study: the active-set finish returns the weights of the
     # step on which the support settles instead of solving that support's
-    # KKT system again to certify it.  Of the 64 solves, 4 are the GMV
-    # solves of the test above, 2 the factor regressions and 58 KKT
-    # systems; before, the study made 76 solves, 12 of them repeats
+    # KKT system again to certify it.  Of the 73 solves, 4 are the GMV
+    # solves of the test above, 2 the factor regressions and 67 KKT
+    # systems.  Started from the projected unconstrained weights rather
+    # than from 25 APG iterations it takes 67 systems, not 58, but runs no
+    # APG iteration; with a separate certifying solve the study made 76
+    # solves, 12 of them repeats
     import portrisk.portfolios as pf
 
     _, returns, factors = calibrated_market(300, 252 + 2 * 21, 31)
@@ -366,7 +369,7 @@ def test_wide_study_solves_each_kkt_system_once(monkeypatch):
                             exposures=(1.0, 1.6, 2.0))
     with pytest.warns(RuntimeWarning, match="skipped 6 of 24"):
         report = pr.run_empirical_study(returns, factors, cfg)
-    assert (solves[0], len(systems)) == (64, 58)
+    assert (solves[0], len(systems)) == (73, 67)
     assert not any(a[0] is b[0] and np.array_equal(a[1], b[1]) and a[2] == b[2]
                    for a, b in zip(systems, systems[1:]))
     assert len(report.records) == 18

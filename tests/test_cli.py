@@ -136,6 +136,39 @@ def test_hclub_reports_a_clamped_long_run_variance_once(tmp_path):
     assert "U(0.05)=0\n" in proc.stdout
 
 
+@pytest.mark.parametrize("command", ["simulate", "empirical"])
+def test_study_warning_is_one_stderr_line(command, tmp_path):
+    # a fresh interpreter, so stderr shows what a real run prints; the
+    # study's RuntimeWarning used to come with a cli.py location and the
+    # source line of the call
+    if command == "simulate":
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("Ns = 6\nTs = 24\ncs = 1.5\nL = 8\nportfolios_per_rep = 30\n"
+                       "poet_K = 2\nreplications = 3\nbase_seed = 11\n")
+        flags = ["--threads", "1", "simulate", "--config", str(cfg)]
+        expected = "warning: truncated long-run variance was negative for "
+    else:
+        # ten assets over eight-period windows: the sample estimate is
+        # singular, so its min-variance cases are skipped
+        returns = tmp_path / "returns.csv"
+        values = np.random.default_rng(5).standard_normal((18, 10))
+        returns.write_text("date," + ",".join(f"a{i}" for i in range(10)) + "\n" + "".join(
+            f"d{t:02d}," + ",".join(repr(float(v)) for v in row) + "\n"
+            for t, row in enumerate(values)))
+        flags = ["empirical", "--returns", str(returns), "--estimators", "sample",
+                 "--exposures", "1.6", "--estimation-window", "8", "--holding-window", "5",
+                 "--L", "2"]
+        expected = "warning: skipped 2 of 4 (window, strategy, estimator) cases: "
+    src = os.path.dirname(os.path.dirname(pr.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "portrisk.cli", "--output-dir", str(tmp_path), *flags],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(expected), proc.stderr
+    assert ".py:" not in proc.stderr
+
+
 def test_hclub_tau_out_of_range_is_usage_error(panel_files, tmp_path, capsys):
     _, _, rpath, _ = panel_files
     code = main(["--output-dir", str(tmp_path), "hclub", "--returns", rpath,

@@ -305,16 +305,16 @@ def test_kkt_check_rejects_a_negative_exposure_multiplier():
     # (2, -1) has the right signs but a negative exposure multiplier: the
     # budget is slack there, and the optimum is the equal-weight book
     M = np.eye(2)
-    assert pf._certify_kkt(M, np.array([1.0, -1.0]), 3.0) is None
-    assert np.allclose(pf._certify_kkt(M, np.array([1.0, 1.0]), 1.0), 0.5)
+    assert pf._active_set(M, np.array([1.0, -1.0]), 3.0) is None
+    assert np.allclose(pf._active_set(M, np.array([1.0, 1.0]), 1.0), 0.5)
 
 
 def test_unsettled_active_set_falls_back_to_apg(monkeypatch):
-    # flipping every sign means the support never settles; the solver
-    # must then finish with the certified APG answer of the old solver.
-    # Only the solves inside the active-set finish flip signs; the KKT
-    # checks of APG after it solve for real
-    calls = []
+    # flipping every sign means the first finish never settles; the solver
+    # must then fall back to APG and end with the certified answer of the
+    # APG oracle.  Only the solves inside that first finish flip signs; the
+    # finishes APG retries from its iterates solve for real
+    calls, finishes = [], []
     inside = [False]
     real_solve, real_active_set = pf._kkt_solve, pf._active_set
 
@@ -325,7 +325,8 @@ def test_unsettled_active_set_falls_back_to_apg(monkeypatch):
         return None, -pattern, True
 
     def active_set(M, pattern, c):
-        inside[0] = True
+        finishes.append(pattern)
+        inside[0] = len(finishes) == 1
         try:
             return real_active_set(M, pattern, c)
         finally:
@@ -336,10 +337,12 @@ def test_unsettled_active_set_falls_back_to_apg(monkeypatch):
     est = _estimate(_factor_matrix(30, 2, 71))
     for c in (1.0, 1.2, 1.6):
         calls.clear()
+        finishes.clear()
         want, certified = _oracle_solve(est, c)
         assert certified
         assert pr.min_variance(est, c).weights.tobytes() == want.tobytes()
         assert len(calls) == pf._ACTIVE_SET_STEPS
+        assert len(finishes) >= 2  # APG ran and retried the finish
 
 
 @pytest.fixture(scope="module")
@@ -374,6 +377,23 @@ def test_min_variance_on_backtest_window_equals_apg_oracle(backtest_factor_estim
     assert certified
     assert len(finished) == 1 and finished[0] is not None
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("c", [1.0, 1.6, 2.0])
+def test_settled_first_finish_runs_no_apg(backtest_factor_estimate, c, monkeypatch):
+    # the finish from the projected unconstrained weights settles on this
+    # window, so the two projections of its start are the only ones: APG
+    # would project twice more to start and at least twice an iteration
+    projected = []
+    real = pf._project_simplex
+
+    def project(v, total):
+        projected.append(total)
+        return real(v, total)
+
+    monkeypatch.setattr(pf, "_project_simplex", project)
+    pr.min_variance(backtest_factor_estimate, c)
+    assert projected == [(c + 1.0) / 2.0, (c - 1.0) / 2.0]
 
 
 def test_exposures_on_one_estimate_equal_calls_on_fresh_estimates(backtest_factor_estimate):
@@ -419,10 +439,9 @@ def test_singular_sample_estimate_raises_without_eigenvalues(monkeypatch):
 def test_stalled_solver_warns_once_and_keeps_its_iterate(monkeypatch):
     # the unconstrained optimum of this matrix has gross exposure 2.48
     est = _estimate(_factor_matrix(30, 2, 71))
-    # no certificate anywhere: the active-set finish certifies its own
-    # settled step, so it is stubbed out with the KKT checks
+    # no certificate anywhere: the active-set finish is the solver's only
+    # KKT check, so it is stubbed out with the oracle's
     monkeypatch.setattr(pf, "_active_set", lambda *args: None)
-    monkeypatch.setattr(pf, "_certify_kkt", lambda *args: None)
     monkeypatch.setattr(oracles, "_certify_kkt", lambda *args: None)
     want = oracles.min_variance_apg(est, 1.6).weights
     with warnings.catch_warnings(record=True) as caught:

@@ -770,6 +770,43 @@ def test_run_experiment_worker_count_invariance_where_blas_threads():
     assert {agg.estimator for agg in one.cells} == {"sample", "factor", "poet"}
 
 
+def test_run_experiment_starts_no_more_workers_than_tasks(monkeypatch, tmp_path):
+    # a pool forks all its workers at once: two markets of one block each
+    # are two tasks, so 16 requested workers start 2.  The stand-in pool
+    # records its size and maps serially, so no process is started
+    import concurrent.futures
+
+    from portrisk.reporting import experiment_cells_csv
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    grid = [pr.ExperimentCell(N=6, T=24, c=1.5, portfolios_per_rep=5,
+                              estimators=("sample", "factor")),
+            pr.ExperimentCell(N=7, T=30, c=1.0, portfolios_per_rep=5,
+                              estimators=("sample",))]
+    for workers in (16, 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = pr.run_experiment(grid, 2, workers=workers, base_seed=23)
+        experiment_cells_csv(report, tmp_path / f"{workers}.csv")
+    assert sizes == [2]
+    assert (tmp_path / "16.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
+
 def test_block_size_follows_the_memory_budget():
     # the coupled block at its largest (8 N^2 bytes) or the factor chain
     # (48 (500 + T) bytes), whichever is larger, per replication of a
