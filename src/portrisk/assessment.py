@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -70,10 +69,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_LAGS = 5
 
-# how a clamped long-run variance warning starts; the simulation and the
-# backtest silence the per-call warnings and report their own totals
-_CLAMPED_WARNING = "truncated long-run variance was negative"
-
 
 def normal_upper_quantile(p: float) -> float:
     """The z with P(Z > z) = p for a standard normal, 0 < p < 0.5.
@@ -95,8 +90,8 @@ class LongRunVariance:
     """Truncated autocovariance estimate of the long-run variance.
 
     gammas holds gamma(0)..gamma(L) as computed; sigma2 is the truncated
-    sum, clamped at zero (with clamped=True and a warning) when the plain
-    truncation turns negative in a finite sample.
+    sum, clamped at zero (with clamped=True and a RuntimeWarning) when the
+    plain truncation turns negative in a finite sample.
     """
 
     gammas: tuple
@@ -116,8 +111,9 @@ def long_run_variances(series, centers, L: int):
     makes, and total_return_series and systematic_return_series give a
     portfolio the same series bits alone or in a batch (_per_row), so a
     portfolio's figures do not depend on the number of portfolios P, its
-    position or the portfolios beside it.  One RuntimeWarning reports all
-    the clamped columns of a call.
+    position or the portfolios beside it.  It does not warn: the studies
+    count the clamped columns in their reports, and of the package's
+    functions only the one-portfolio autocov_* warn of a clamp.
     """
     series = np.asarray(series, dtype=float)
     T, P = series.shape
@@ -131,18 +127,7 @@ def long_run_variances(series, centers, L: int):
         gammas[h] = np.matmul(q[:, None, : T - h], q[:, h:, None])[:, 0, 0] / T
     sigma2 = gammas[0] + 2.0 * sum(gammas[1:], np.zeros(P))
     clamped = sigma2 < 0.0
-    n_clamped = int(clamped.sum())
-    if n_clamped:
-        what = (f"({sigma2[0]:.3e})" if P == 1
-                else f"for {n_clamped} of {P} portfolios")
-        # point the warning at the first frame outside this package
-        frame, level = sys._getframe(), 1
-        while frame is not None and frame.f_globals.get("__package__") == __package__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(f"{_CLAMPED_WARNING} {what}; clamped to 0", RuntimeWarning,
-                      stacklevel=level)
-        sigma2 = np.where(clamped, 0.0, sigma2)
-    return gammas, sigma2, clamped
+    return gammas, np.where(clamped, 0.0, sigma2), clamped
 
 
 def _quad_forms(matrix: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -206,11 +191,17 @@ def systematic_return_series(fit: FactorModelFit, W):
 
 def _autocov(series, N: int, w, L: int) -> LongRunVariance:
     """Long-run variance of one portfolio w of N assets; series(W) gives
-    the (series, centers) of the portfolios in the columns of W."""
+    the (series, centers) of the portfolios in the columns of W.  A clamped
+    sigma2 raises one RuntimeWarning, attributed to the caller of the
+    autocov_* function that called this one."""
     weights = np.asarray(getattr(w, "weights", w), dtype=float)
     if weights.shape != (N,):
         raise DataError(f"weight vector has shape {weights.shape}, expected ({N},)")
     gammas, sigma2, clamped = long_run_variances(*series(weights[:, None]), L)
+    if clamped[0]:
+        raw = gammas[0, 0] + 2.0 * gammas[1:, 0].sum()
+        warnings.warn(f"truncated long-run variance was negative ({raw:.3e}); clamped to 0",
+                      RuntimeWarning, stacklevel=3)
     return LongRunVariance(gammas=tuple(float(g) for g in gammas[:, 0]), L=L,
                            sigma2=float(sigma2[0]), clamped=bool(clamped[0]))
 
@@ -269,7 +260,8 @@ class FittedEstimator:
 
         The sample variances are the series centers w'Sw = ||Xw||^2 / T;
         factor and poet take the quadratic forms of their matrix.  A
-        portfolio's sigma2 and u_variance are the bits it gets alone.
+        portfolio's sigma2 and u_variance are the bits it gets alone.  A
+        clamped sigma2 is marked in clamped, not warned of.
         """
         series, centers = self.series(W)
         variances = (centers if self.estimate.kind == "sample"
@@ -318,6 +310,14 @@ class EstimatorSpec:
             raise DataError(f"poet factor count must be at least 1, got K={self.K}")
         if self.name == "poet" and self.K is None and not self.k_max >= 1:
             raise DataError(f"poet k_max must be at least 1, got k_max={self.k_max}")
+
+    def check_fits(self, N: int, T: int) -> None:
+        """Raise DataError if the spec cannot be fitted on N assets over T
+        periods: a fixed POET K must be at most min(N, T) - 1, the bound of
+        poet_covariance."""
+        if self.name == "poet" and self.K is not None and self.K > min(N, T) - 1:
+            raise DataError(f"poet factor count must be in [1, {min(N, T) - 1}] for "
+                            f"N={N} assets over T={T} periods, got K={self.K}")
 
     def fit(self, returns: ReturnsPanel, factors: FactorPanel | None = None) -> FittedEstimator:
         """Build the estimate on returns; factor also needs the observed factors."""

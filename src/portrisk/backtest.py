@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +28,8 @@ import numpy as np
 # autocov_*, hclub and ensure_positive_definite are the one-portfolio forms
 # of what EstimatorSpec and FittedEstimator.assess run here; they stay bound
 # for code that wraps the module's names to profile it
-from .assessment import (_CLAMPED_WARNING, DEFAULT_LAGS, EstimatorSpec, _quad_forms,
-                         autocov_factor, autocov_poet, autocov_sample, estimator_specs,
-                         hclub, hclub_z)
+from .assessment import (DEFAULT_LAGS, EstimatorSpec, _quad_forms, autocov_factor,
+                         autocov_poet, autocov_sample, estimator_specs, hclub, hclub_z)
 from .blas import single_thread
 from .errors import DataError, NumericalError, PortriskError
 from .estimators import ESTIMATOR_NAMES, ensure_positive_definite
@@ -134,10 +131,14 @@ class RebalanceRecord:
 
 @dataclass(frozen=True)
 class SkippedCase:
+    """A (window, strategy, estimator) case that was not assessed: reason is
+    the message of the error that stopped it, error its type name."""
+
     index: int
     strategy: str
     estimator: str
     reason: str
+    error: str
 
 
 @dataclass(frozen=True)
@@ -196,9 +197,11 @@ def run_empirical_study(
     for the following block, and compares sqrt(w' Sigma_hat w) with the
     realized holding risk.  A window where an estimator cannot deliver
     (singular matrix, failed solve) is recorded in `skipped` with the
-    reason instead of aborting the study.  One RuntimeWarning per call
-    counts the long-run variances clamped at zero and the skipped cases,
-    these by strategy, estimator and error type.
+    reason instead of aborting the study.  The study does not warn: a
+    record's clamped flag marks a long-run variance clamped at zero, and
+    the command line prints the counts of both kinds of case.  A fixed
+    POET K that does not fit the estimation window raises DataError
+    before the first window.
     The windows run with numpy's BLAS on one thread (see portrisk.blas);
     the caller's BLAS thread count is restored on return.
     """
@@ -213,6 +216,8 @@ def run_empirical_study(
         raise DataError(
             f"panel has {returns.T} rows; need at least {W + H} for one rebalance"
         )
+    for spec in config._specs:
+        spec.check_fits(returns.N, W)
 
     # (label, exposure); the equal-weight book has no exposure budget
     strategies = [("equal", None)] + [(_minvar_label(c), c) for c in config.exposures]
@@ -220,15 +225,11 @@ def run_empirical_study(
     z = hclub_z(config.tau, config.paper_z)
     records = []
     skipped = []
-    skips = Counter()  # skipped cases per (strategy/estimator, error type)
 
     def skip(r, strategy, name, exc):
-        skipped.append(SkippedCase(r, strategy, name, str(exc)))
-        skips[f"{strategy}/{name} {type(exc).__name__}"] += 1
+        skipped.append(SkippedCase(r, strategy, name, str(exc), type(exc).__name__))
 
-    with single_thread(), warnings.catch_warnings():
-        # the summary below counts the clamped long-run variances
-        warnings.filterwarnings("ignore", _CLAMPED_WARNING, RuntimeWarning)
+    with single_thread():
         for r in range(n_reb):
             lo, mid, hi = r * H, r * H + W, r * H + W + H
             window = returns.slice_rows(lo, mid)
@@ -274,20 +275,6 @@ def run_empirical_study(
                         pf = NumericalError(f"estimated portfolio variance {vhat:.3e} "
                                             "is not positive")
                     skip(r, strategy, spec.name, pf)
-    notes = []
-    clamped = sum(x.clamped for x in records)
-    if clamped:
-        notes.append(f"{_CLAMPED_WARNING} for {clamped} of {len(records)} portfolio "
-                     "assessments; clamped to 0")
-    if skipped:
-        first = skipped[0]
-        counts = ", ".join(f"{n} {reason}" for reason, n in skips.items())
-        notes.append(
-            f"skipped {len(skipped)} of {n_reb * len(strategies) * len(config._specs)} "
-            f"(window, strategy, estimator) cases: {counts}; the first, window "
-            f"{first.index} {first.strategy}/{first.estimator}: {first.reason}")
-    if notes:
-        warnings.warn("; ".join(notes), RuntimeWarning, stacklevel=2)
 
     aggregates = []
     ppy = config.periods_per_year

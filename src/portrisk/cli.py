@@ -8,7 +8,10 @@ Exit codes: 0 success, 1 usage errors, 2 data errors (ill-formed inputs,
 and paths that cannot be read or written: a missing file, a directory
 given as a file, a file given as --output-dir), 3 numerical failures
 (singular matrices, non-convergence); a closed stdout (portrisk report |
-head) ends the run quietly with 0.
+head) ends the run quietly with 0.  The library's studies do not warn of
+their degenerate cases; simulate and empirical print the counts their
+reports carry (long-run variances clamped at zero, skipped backtest cases)
+as one 'warning: ...' line on stderr, and hclub one for its clamped bound.
 """
 
 from __future__ import annotations
@@ -17,14 +20,14 @@ import argparse
 import logging
 import os
 import sys
-import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .assessment import _CLAMPED_WARNING, DEFAULT_LAGS, EstimatorSpec, hclub_z
-from .backtest import BacktestConfig, run_empirical_study
+from .assessment import DEFAULT_LAGS, EstimatorSpec, hclub_z
+from .backtest import BacktestConfig, BacktestReport, run_empirical_study
 from .blas import single_thread
 from .errors import DataError, NumericalError, UsageError
 from .estimators import ESTIMATOR_NAMES, THRESHOLD_RULES
@@ -214,15 +217,30 @@ def _fit(args):
     return returns, spec.fit(returns, factors)
 
 
-def _run_study(run, *args, **kwargs):
-    """run(*args, **kwargs), each RuntimeWarning it raises shown as one
-    'warning: <message>' line on stderr, without a source location."""
-    with warnings.catch_warnings():
-        show = warnings.showwarning
-        warnings.showwarning = lambda message, category, *rest: (
-            print(f"warning: {message}", file=sys.stderr)
-            if issubclass(category, RuntimeWarning) else show(message, category, *rest))
-        return run(*args, **kwargs)
+def _warn_of_degenerate_cases(report) -> None:
+    """Print the degenerate cases of a simulate or empirical report as one
+    'warning: ...' line on stderr, if it has any: its long-run variances
+    clamped at zero and a backtest's skipped (window, strategy, estimator)
+    cases, these by strategy, estimator and error type."""
+    notes, skipped = [], getattr(report, "skipped", ())
+    if isinstance(report, BacktestReport):
+        clamped, assessments = sum(x.clamped for x in report.records), len(report.records)
+    else:
+        clamped = sum(agg.clamped_count for agg in report.cells)
+        assessments = sum(agg.n_records for agg in report.cells)
+    if clamped:
+        notes.append(f"truncated long-run variance was negative for {clamped} of "
+                     f"{assessments} portfolio assessments; clamped to 0")
+    if skipped:
+        config, first = report.config, skipped[0]
+        cases = report.n_rebalances * (1 + len(config.exposures)) * len(config.estimators)
+        counts = Counter(f"{x.strategy}/{x.estimator} {x.error}" for x in skipped)
+        notes.append(f"skipped {len(skipped)} of {cases} (window, strategy, estimator) cases: "
+                     + ", ".join(f"{n} {key}" for key, n in counts.items())
+                     + f"; the first, window {first.index} {first.strategy}/{first.estimator}: "
+                     f"{first.reason}")
+    if notes:
+        print("warning: " + "; ".join(notes), file=sys.stderr)
 
 
 @single_thread()
@@ -263,11 +281,8 @@ def _cmd_hclub(args) -> int:
         raise UsageError(f"--L must be nonnegative, got {args.L}")
     returns, fitted = _fit(args)
     pf = _portfolio_for(args, returns)
-    with warnings.catch_warnings():
-        # the warning line below reports a clamped long-run variance
-        warnings.filterwarnings("ignore", _CLAMPED_WARNING, RuntimeWarning)
-        variances, sigma2, u_variance, clamped = fitted.assess(
-            pf.weights[:, None], args.L, hclub_z(args.tau, args.paper_z))
+    variances, sigma2, u_variance, clamped = fitted.assess(
+        pf.weights[:, None], args.L, hclub_z(args.tau, args.paper_z))
     vhat, u_var = float(variances[0]), float(u_variance[0])
     if not vhat > 0:
         raise NumericalError(f"estimated variance {vhat:.3e} is not positive; "
@@ -332,8 +347,9 @@ def _cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else cfg.base_seed
     config_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
     out = _outdir(args)
-    report = _run_study(engine.run_experiment, cfg.cells, cfg.replications,
-                        workers=args.threads, base_seed=seed)
+    report = engine.run_experiment(cfg.cells, cfg.replications, workers=args.threads,
+                                   base_seed=seed)
+    _warn_of_degenerate_cases(report)
     header = make_header_lines(seed=seed, config_hash=config_hash)
     cells_path = out / f"{args.out_prefix}_cells.csv"
     figures_path = out / f"{args.out_prefix}_figures.csv"
@@ -360,7 +376,8 @@ def _cmd_empirical(args) -> int:
     )
     returns, factors = _load_panels(args, need_factors="factor" in estimators)
     out = _outdir(args)
-    report = _run_study(run_empirical_study, returns, factors, config)
+    report = run_empirical_study(returns, factors, config)
+    _warn_of_degenerate_cases(report)
     header = make_header_lines()
     records_path = out / f"{args.out_prefix}_records.csv"
     summary_path = out / f"{args.out_prefix}_summary.csv"

@@ -50,7 +50,6 @@ import hashlib
 import logging
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -60,7 +59,6 @@ import numpy as np
 # the batched ops used here; they stay bound in this module for code that
 # wraps the module's names to profile it
 from .assessment import (
-    _CLAMPED_WARNING,
     DEFAULT_LAGS,
     EstimatorSpec,
     _quad_forms,
@@ -562,7 +560,8 @@ class ExperimentCell:
     """One grid point of the replication protocol.
 
     Construction builds each estimator's EstimatorSpec (a rule or C of None
-    is the spec's default), so invalid settings fail before any market is simulated.
+    is the spec's default) and checks that it fits N assets over T periods,
+    so invalid settings fail before any market is simulated.
     """
 
     N: int
@@ -593,6 +592,8 @@ class ExperimentCell:
         object.__setattr__(self, "_specs", estimator_specs(self.estimators, {
             "factor": dict(rule=self.factor_rule, C=self.factor_C),
             "poet": dict(rule=self.poet_rule, C=self.poet_C, K=self.poet_K)}))
+        for spec in self._specs:
+            spec.check_fits(self.N, self.T)
 
 
 @dataclass
@@ -850,15 +851,12 @@ def _run_task(grid: tuple, markets: tuple, base_seed: int, task: tuple) -> list:
     lead = grid[cells[0]]
     simulated = _generate_markets(_calibration(lead), lead.N, lead.T, base_seed, reps)
     out = []
-    with warnings.catch_warnings():
-        # run_experiment reports the clamped total of the whole run once
-        warnings.filterwarnings("ignore", _CLAMPED_WARNING, RuntimeWarning)
-        for rep, data in zip(reps, simulated):
-            market = _Market(lead, base_seed, rep, data)
-            out.extend((ci, rep, run_replication(grid[ci], base_seed, rep, market))
-                       for ci in cells)
-            # free this market and its estimates before the next one is drawn
-            del market, data
+    for rep, data in zip(reps, simulated):
+        market = _Market(lead, base_seed, rep, data)
+        out.extend((ci, rep, run_replication(grid[ci], base_seed, rep, market))
+                   for ci in cells)
+        # free this market and its estimates before the next one is drawn
+        del market, data
     return out
 
 
@@ -872,12 +870,13 @@ def run_experiment(grid, replications: int, workers: int | None = None,
     order.  Cells sharing (calibration, N, T) form one market, in order
     of first appearance in the grid; a task is one market and a block of
     consecutive replications of it, and simulates each of them once for
-    all of the market's cells.  Each finished task logs one INFO line;
-    long-run variances clamped at zero anywhere in the run raise one
-    RuntimeWarning with their total.  A pool forks all its workers at
-    once, so it gets at most one per task.  Every task runs with numpy's
-    BLAS on one thread, serially and in the pool workers alike (see
-    portrisk.blas); the caller's BLAS thread count is restored on return.
+    all of the market's cells.  Each finished task logs one INFO line.
+    The run does not warn: each aggregate's clamped_count counts its
+    long-run variances clamped at zero, and the command line prints their
+    total.  A pool forks all its workers at once, so it gets at most one
+    per task.  Every task runs with numpy's BLAS on one thread, serially
+    and in the pool workers alike (see portrisk.blas); the caller's BLAS
+    thread count is restored on return.
     """
     grid = tuple(grid)
     if not grid:
@@ -931,11 +930,6 @@ def run_experiment(grid, replications: int, workers: int | None = None,
     for ci, cell in enumerate(grid):
         ordered = [by_cell[ci][rep] for rep in range(replications)]
         aggregates.extend(_aggregate(cell, ordered))
-    clamped = sum(agg.clamped_count for agg in aggregates)
-    if clamped:
-        warnings.warn(f"{_CLAMPED_WARNING} for {clamped} of "
-                      f"{sum(agg.n_records for agg in aggregates)} portfolio assessments; "
-                      "clamped to 0", RuntimeWarning, stacklevel=2)
     return ExperimentReport(cells=tuple(aggregates), replications=replications,
                             base_seed=int(base_seed))
 

@@ -240,23 +240,30 @@ def test_negative_truncated_sum_clamps_and_warns():
 
 
 def test_clamped_warning_points_at_the_caller():
-    # the warning names the first frame outside the package, whichever
-    # public function the caller entered through
+    # each one-portfolio function warns once of its clamp, and the warning
+    # names its caller; the batch functions mark the clamp and do not warn
     values = np.where(np.arange(50) % 2 == 0, 1.0, 2.0)[:, None] * np.ones(2)
     panel = make_panel(values)
     w = pr.equal_weight(2)
-    fitted = pr.EstimatorSpec("sample", demean=False).fit(panel)
+    _, market, fpanel = calibrated_market(4, 20, 0)
     calls = {
-        "long_run_variances": lambda: pr.long_run_variances(*fitted.series(w.weights[:, None]), 1),
-        "assess": lambda: fitted.assess(w.weights[:, None], 1, 2.0),
         "autocov_sample": lambda: pr.autocov_sample(panel, w, L=1, demean=False),
+        "autocov_factor": lambda: pr.autocov_factor(pr.ols_factor_fit(market, fpanel),
+                                                    pr.equal_weight(4), L=9),
         "autocov_poet": lambda: pr.autocov_poet(pr.pca_factor_fit(panel, 1, demean=False), w, L=1),
     }
     for name, call in calls.items():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            call()
+            assert call().clamped, name
         assert [(c.category, c.filename) for c in caught] == [(RuntimeWarning, __file__)], name
+
+    fitted = pr.EstimatorSpec("sample", demean=False).fit(panel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, clamped = pr.long_run_variances(*fitted.series(w.weights[:, None]), 1)
+        *_, clamped_b = fitted.assess(w.weights[:, None], 1, 2.0)
+    assert clamped.tolist() == clamped_b.tolist() == [True]
 
 
 def _lrv_columns(T, P, seed):
@@ -275,8 +282,8 @@ def _lrv_columns(T, P, seed):
 def test_long_run_variances_match_brute_force(T, P, data, seed):
     L = data.draw(st.integers(0, T - 1), label="L")
     series, centers = _lrv_columns(T, P, seed)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         gammas, sigma2, clamped = pr.long_run_variances(series, centers, L)
     assert gammas.shape == (L + 1, P) and sigma2.shape == clamped.shape == (P,)
     eps = np.finfo(float).eps
@@ -294,14 +301,13 @@ def test_long_run_variances_match_brute_force(T, P, data, seed):
         if abs(raw) > tol:
             assert clamped[j] == (raw < 0)
     assert np.all(sigma2[clamped] == 0.0)
-    assert len(caught) == (1 if clamped.any() else 0)
 
 
-def test_long_run_variances_clamp_summary_warning():
+def test_long_run_variances_mark_clamped_columns_without_warning():
     series, centers = _lrv_columns(40, 6, 7)
-    with pytest.warns(RuntimeWarning, match=r"for 3 of 6 portfolios; clamped") as record:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         _, sigma2, clamped = pr.long_run_variances(series, centers, 1)
-    assert len(record) == 1
     assert clamped.tolist() == [False, True] * 3
     assert np.all(sigma2[clamped] == 0.0)
 

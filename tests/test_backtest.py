@@ -1,5 +1,7 @@
 """Rolling-window study: window arithmetic, records, aggregates, skips."""
 
+import contextlib
+import io
 import math
 import warnings
 
@@ -9,6 +11,7 @@ import pytest
 import portrisk as pr
 from helpers import calibrated_market
 from portrisk.blas import single_thread
+from portrisk.cli import _warn_of_degenerate_cases
 from portrisk.simulation import generate_var1_factors
 
 
@@ -87,6 +90,22 @@ def test_invalid_estimator_settings_fail_before_any_window(kwargs, message, monk
     unused = "poet" if "poet" in next(iter(kwargs)) else "factor"
     kept = tuple(e for e in pr.BacktestConfig().estimators if e != unused)
     assert pr.BacktestConfig(estimators=kept, **kwargs).estimators == kept
+
+
+def test_poet_factor_count_that_cannot_fit_fails_before_any_window(monkeypatch):
+    # K=12 on 12 assets used to skip all 9 (window, strategy, estimator)
+    # cases and leave empty tables; K must be at most min(N, window) - 1
+    def no_window(*args, **kw):
+        raise AssertionError("a window was estimated")
+
+    monkeypatch.setattr(pr.EstimatorSpec, "fit", no_window)
+    returns, factors = _market(12, 30 + 3 * 10, 243)
+    for N, W, K in ((12, 30, 12), (12, 8, 8)):
+        cfg = pr.BacktestConfig(estimation_window=W, holding_window=10, estimators=("poet",),
+                                poet_K=K, L=2)
+        with pytest.raises(pr.DataError, match=rf"\[1, {min(N, W) - 1}\] for N={N} assets "
+                                               rf"over T={W} periods, got K={K}"):
+            pr.run_empirical_study(returns, factors, cfg)
 
 
 def test_backtest_config_rejects_nan_exposure():
@@ -181,39 +200,56 @@ def test_panel_too_short():
         pr.run_empirical_study(returns, factors, CONFIG)
 
 
+def _study(returns, factors, config):
+    """The report of the study, which must not warn, and the one warning
+    line the command line prints from it ('' if none)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = pr.run_empirical_study(returns, factors, config)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        _warn_of_degenerate_cases(report)
+    return report, err.getvalue()
+
+
 def test_singular_windows_are_skipped_with_warnings():
     # N above the window length makes the sample covariance singular, so
-    # the min-variance solve fails while equal-weight rows still assess
+    # the min-variance solve fails while equal-weight rows still assess;
+    # the report carries the skip, and the command line warns of it
     returns, _ = _market(30, 46, 237)
     cfg = pr.BacktestConfig(estimation_window=25, holding_window=21,
                             estimators=("sample",), exposures=(1.5,), L=2)
-    with pytest.warns(RuntimeWarning):
-        report = pr.run_empirical_study(returns, None, cfg)
+    report, warning = _study(returns, None, cfg)
     assert report.n_rebalances == 1
     assert [r.strategy for r in report.records] == ["equal"]
     assert len(report.skipped) == 1
     skip = report.skipped[0]
-    assert skip.strategy == "minvar_c1.5" and skip.estimator == "sample"
+    assert (skip.strategy, skip.estimator, skip.error) == ("minvar_c1.5", "sample",
+                                                           "NumericalError")
     assert "positive definite" in skip.reason
     assert all(a.strategy == "equal" for a in report.aggregates)
+    assert warning == (
+        "warning: skipped 1 of 2 (window, strategy, estimator) cases: "
+        "1 minvar_c1.5/sample NumericalError; "
+        f"the first, window 0 minvar_c1.5/sample: {skip.reason}\n")
 
 
 def test_skipped_cases_are_summarized_in_one_warning():
     # 100 assets over 60-period windows: every sample min-variance solve
-    # fails.  The study used to warn once per skipped case
+    # fails.  The study used to warn once per skipped case, then once per
+    # study; now the report carries them and the command line prints the
+    # one line the study used to warn with
     returns, factors = _market(100, 60 + 3 * 21, 241)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = pr.run_empirical_study(returns, factors, CONFIG)
-    assert len(caught) == 1 and caught[0].category is RuntimeWarning
-    assert caught[0].filename == __file__
+    report, warning = _study(returns, factors, CONFIG)
     # 3 windows x 2 min-variance strategies for the sample estimator
-    assert [(s.index, s.strategy, s.estimator) for s in report.skipped] == [
-        (r, strategy, "sample") for r in range(3) for strategy in ("minvar_c1", "minvar_c1.6")]
-    assert str(caught[0].message) == (
-        "skipped 6 of 27 (window, strategy, estimator) cases: "
+    assert [(s.index, s.strategy, s.estimator, s.error) for s in report.skipped] == [
+        (r, strategy, "sample", "NumericalError") for r in range(3)
+        for strategy in ("minvar_c1", "minvar_c1.6")]
+    assert report.n_rebalances * (1 + len(CONFIG.exposures)) * len(CONFIG.estimators) == 27
+    assert warning == (
+        "warning: skipped 6 of 27 (window, strategy, estimator) cases: "
         "3 minvar_c1/sample NumericalError, 3 minvar_c1.6/sample NumericalError; "
-        f"the first, window 0 minvar_c1/sample: {report.skipped[0].reason}")
+        f"the first, window 0 minvar_c1/sample: {report.skipped[0].reason}\n")
 
 
 def test_poet_reselects_factor_count_when_unpinned():
@@ -252,7 +288,6 @@ def test_min_variance_gets_the_exposure_itself(monkeypatch):
     assert [r.strategy for r in report.records] == ["equal", "minvar_c1.23457"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("N, window", [(40, 60), (40, 30)])
 def test_batched_records_equal_the_one_portfolio_path(N, window):
     # the study assesses a (window, estimator)'s books as one batch; each
@@ -285,32 +320,32 @@ def test_batched_records_equal_the_one_portfolio_path(N, window):
 
 
 def test_clamped_long_run_variances_are_counted_in_the_one_warning():
-    # the study used to warn once per clamped long-run variance, 62 times here
+    # the study used to warn once per clamped long-run variance, 62 times
+    # here, then once per study; the records carry the 62 and the command
+    # line prints them in one line
     _, returns, factors = calibrated_market(10, 300, 17)
     cfg = pr.BacktestConfig(estimation_window=30, holding_window=10, L=8)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = pr.run_empirical_study(returns, factors, cfg)
-    assert [str(w.message) for w in caught] == [
-        "truncated long-run variance was negative for 62 of 243 portfolio assessments; "
-        "clamped to 0"]
-    assert caught[0].category is RuntimeWarning and caught[0].filename == __file__
+    report, warning = _study(returns, factors, cfg)
     assert sum(r.clamped for r in report.records) == 62 and not report.skipped
+    assert len(report.records) == 243
+    assert all(r.sigma2_hat == 0.0 for r in report.records if r.clamped)
+    assert warning == (
+        "warning: truncated long-run variance was negative for 62 of 243 portfolio "
+        "assessments; clamped to 0\n")
 
 
 def test_clamped_and_skipped_cases_share_the_one_warning():
     returns, factors = _market(100, 60 + 3 * 21, 241)
     cfg = pr.BacktestConfig(estimation_window=60, holding_window=21,
                             exposures=(1.0, 1.6), L=20, poet_K=2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = pr.run_empirical_study(returns, factors, cfg)
-    clamped = sum(r.clamped for r in report.records)
-    assert clamped and len(caught) == 1
-    message = str(caught[0].message)
-    assert message.startswith(
-        f"truncated long-run variance was negative for {clamped} of {len(report.records)} "
-        "portfolio assessments; clamped to 0; skipped 6 of 27 (window, strategy, estimator) ")
+    report, warning = _study(returns, factors, cfg)
+    assert (sum(r.clamped for r in report.records), len(report.records)) == (4, 21)
+    assert len(report.skipped) == 6
+    assert warning == (
+        "warning: truncated long-run variance was negative for 4 of 21 portfolio "
+        "assessments; clamped to 0; skipped 6 of 27 (window, strategy, estimator) cases: "
+        "3 minvar_c1/sample NumericalError, 3 minvar_c1.6/sample NumericalError; "
+        f"the first, window 0 minvar_c1/sample: {report.skipped[0].reason}\n")
 
 
 def test_wide_study_decomposes_and_solves_each_kept_estimate_once(monkeypatch):
@@ -334,8 +369,8 @@ def test_wide_study_decomposes_and_solves_each_kept_estimate_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     cfg = pr.BacktestConfig(estimation_window=252, holding_window=21,
                             exposures=(1.0, 1.6, 2.0))
-    with pytest.warns(RuntimeWarning, match="skipped 6 of 24"):
-        report = pr.run_empirical_study(returns, factors, cfg)
+    report = pr.run_empirical_study(returns, factors, cfg)
+    assert len(report.skipped) == 6
     assert calls == {"eigvalsh": 4, "solve": 4, "cholesky": 10}
     assert len(report.records) == 18
 
@@ -367,8 +402,8 @@ def test_wide_study_solves_each_kkt_system_once(monkeypatch):
     monkeypatch.setattr(pf, "_kkt_solve", kkt)
     cfg = pr.BacktestConfig(estimation_window=252, holding_window=21,
                             exposures=(1.0, 1.6, 2.0))
-    with pytest.warns(RuntimeWarning, match="skipped 6 of 24"):
-        report = pr.run_empirical_study(returns, factors, cfg)
+    report = pr.run_empirical_study(returns, factors, cfg)
+    assert len(report.skipped) == 6
     assert (solves[0], len(systems)) == (73, 67)
     assert not any(a[0] is b[0] and np.array_equal(a[1], b[1]) and a[2] == b[2]
                    for a, b in zip(systems, systems[1:]))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import portrisk as pr
+from helpers import calibrated_market, write_panel_files
 from portrisk import serialization as ser
 from portrisk.cli import main
 from portrisk.estimators import ESTIMATOR_NAMES
@@ -483,6 +484,21 @@ def test_empirical_invalid_estimator_settings_exit_2_before_any_window(
     assert code == 2
     assert "data error" in capsys.readouterr().err
     assert not (tmp_path / "backtest_records.csv").exists()
+
+
+def test_empirical_poet_factor_count_that_cannot_fit_exits_2(tmp_path, capsys):
+    # K=12 on 12 assets over 30-period windows used to skip all 9 cases,
+    # write tables without a row and exit 0
+    _, returns, factors = calibrated_market(12, 30 + 3 * 10, 7)
+    write_panel_files(tmp_path, returns, factors)
+    code = main(["--output-dir", str(tmp_path / "out"), "empirical", "--returns",
+                 str(tmp_path / "returns.csv"), "--estimators", "poet", "--poet-K", "12",
+                 "--estimation-window", "30", "--holding-window", "10"])
+    assert code == 2
+    assert capsys.readouterr().err == ("data error: poet factor count must be in [1, 11] "
+                                       "for N=12 assets over T=30 periods, got K=12\n")
+    assert not (tmp_path / "out" / "backtest_records.csv").exists()
+    assert not (tmp_path / "out" / "backtest_summary.csv").exists()
 
 
 def test_simulate_invalid_estimator_setting_exits_2_before_any_market(

@@ -4,7 +4,6 @@ import dataclasses
 import logging
 import os
 import pickle
-import sys
 import tracemalloc
 import warnings
 
@@ -451,6 +450,22 @@ def test_invalid_estimator_settings_fail_before_any_market(kwargs, monkeypatch):
         pr.parse_grid_config(f"Ns = 300\nTs = 50\ncs = 1\n{key} = {value}\n")
 
 
+def test_poet_factor_count_that_cannot_fit_fails_at_construction(monkeypatch):
+    # K=6 on 6 assets used to raise only inside a worker, after a market
+    # was drawn; K must be at most min(N, T) - 1, as in poet_covariance
+    def no_market(*args):
+        raise AssertionError("a market was simulated")
+
+    monkeypatch.setattr(pr.simulation, "_generate_markets", no_market)
+    with pytest.raises(pr.DataError, match=r"\[1, 5\] for N=6 assets over T=24 periods, got K=6"):
+        pr.ExperimentCell(N=6, T=24, c=1.0, poet_K=6)
+    with pytest.raises(pr.DataError, match=r"\[1, 5\] for N=30 assets over T=6 periods"):
+        pr.parse_grid_config("Ns = 30\nTs = 6\ncs = 1\nL = 2\npoet_K = 6\n")
+    assert pr.ExperimentCell(N=6, T=24, c=1.0, poet_K=5).poet_K == 5
+    # the estimators that do not use K ignore it
+    assert pr.ExperimentCell(N=6, T=24, c=1.0, poet_K=6, estimators=("sample", "factor"))
+
+
 def test_experiment_cell_rejects_repeated_estimator():
     with pytest.raises(pr.DataError, match="estimator twice"):
         pr.ExperimentCell(N=10, T=50, c=1.0, estimators=("sample", "sample"))
@@ -641,18 +656,16 @@ def test_cell_in_market_group_equals_cell_alone():
             pr.ExperimentCell(c=1.7, estimators=("poet", "factor"), poet_C=0.8,
                               factor_C=0.5, **base),
             pr.ExperimentCell(c=1.7, estimators=("sample", "poet"), L=3, **base))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        grouped = _run_task(grid, ((0, 1, 2),), 23, (0, range(4, 5)))
-        assert [ci for ci, _, _ in grouped] == [0, 1, 2]
-        for ci, rep, rec in grouped:
-            alone = pr.run_replication(grid[ci], 23, rep)
-            assert np.array_equal(rec.true_variance, alone.true_variance)
-            assert list(rec.per_estimator) == list(alone.per_estimator)
-            for name, fields in rec.per_estimator.items():
-                for field, arr in fields.items():
-                    assert np.array_equal(arr, alone.per_estimator[name][field],
-                                          equal_nan=True), (ci, name, field)
+    grouped = _run_task(grid, ((0, 1, 2),), 23, (0, range(4, 5)))
+    assert [ci for ci, _, _ in grouped] == [0, 1, 2]
+    for ci, rep, rec in grouped:
+        alone = pr.run_replication(grid[ci], 23, rep)
+        assert np.array_equal(rec.true_variance, alone.true_variance)
+        assert list(rec.per_estimator) == list(alone.per_estimator)
+        for name, fields in rec.per_estimator.items():
+            for field, arr in fields.items():
+                assert np.array_equal(arr, alone.per_estimator[name][field],
+                                      equal_nan=True), (ci, name, field)
 
 
 def test_market_block_equals_single_replication_markets():
@@ -672,18 +685,16 @@ def test_block_task_equals_replications_run_alone():
     grid = (pr.ExperimentCell(N=9, T=30, c=1.0, portfolios_per_rep=4, poet_K=2),
             pr.ExperimentCell(N=9, T=30, c=1.4, portfolios_per_rep=4,
                               estimators=("factor",)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        got = _run_task(grid, ((0, 1),), 37, (0, range(3, 6)))
-        assert [(ci, rep) for ci, rep, _ in got] == [(ci, rep) for rep in range(3, 6)
-                                                     for ci in (0, 1)]
-        for ci, rep, rec in got:
-            alone = pr.run_replication(grid[ci], 37, rep)
-            assert rec.true_variance.tobytes() == alone.true_variance.tobytes()
-            for name, fields in rec.per_estimator.items():
-                for field, arr in fields.items():
-                    assert arr.tobytes() == alone.per_estimator[name][field].tobytes(), \
-                        (ci, rep, name, field)
+    got = _run_task(grid, ((0, 1),), 37, (0, range(3, 6)))
+    assert [(ci, rep) for ci, rep, _ in got] == [(ci, rep) for rep in range(3, 6)
+                                                 for ci in (0, 1)]
+    for ci, rep, rec in got:
+        alone = pr.run_replication(grid[ci], 37, rep)
+        assert rec.true_variance.tobytes() == alone.true_variance.tobytes()
+        for name, fields in rec.per_estimator.items():
+            for field, arr in fields.items():
+                assert arr.tobytes() == alone.per_estimator[name][field].tobytes(), \
+                    (ci, rep, name, field)
 
 
 def test_run_replication_rejects_another_market():
@@ -697,41 +708,34 @@ def test_run_replication_rejects_another_market():
 
 
 def test_run_replication_summarizes_clamped_portfolios():
+    # the record marks each clamped portfolio, with no warning; these counts
+    # are those the replication used to warn of, one warning per estimator
     cell = pr.ExperimentCell(N=6, T=24, c=1.5, portfolios_per_rep=30, L=8,
                              estimators=("sample", "factor", "poet"), poet_K=2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rec = pr.run_replication(cell, 11, 0)
     clamped = {name: int(d["clamped"].sum()) for name, d in rec.per_estimator.items()}
-    assert sum(clamped.values()) > 0
-    messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
-    # one warning per estimator that clamped, carrying its count
-    assert sorted(messages) == sorted(
-        f"truncated long-run variance was negative for {n} of 30 portfolios; clamped to 0"
-        for n in clamped.values() if n)
+    assert clamped == {"sample": 3, "factor": 2, "poet": 1}
+    for d in rec.per_estimator.values():
+        assert np.all(d["sigma2"][d["clamped"]] == 0.0)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_experiment_warns_once_with_the_clamped_total(workers, monkeypatch, capfd):
-    # one replication per task, so two workers share three tasks; every
-    # warning is printed to stderr, where forked workers' warnings land too
+def test_run_experiment_counts_the_clamped_total(workers, monkeypatch, capfd):
+    # one replication per task, so two workers share three tasks.  The run
+    # used to warn once of its total, 84 of 270; now the aggregates carry
+    # it and no warning is given, serially or in a forked worker, which
+    # inherits the error filter
     monkeypatch.setattr(sim, "_BLOCK_BUDGET", 1)
     cell = pr.ExperimentCell(N=6, T=24, c=1.5, portfolios_per_rep=30, L=8,
                              estimators=("sample", "factor", "poet"), poet_K=2)
-
-    def show(message, category, filename, lineno, file=None, line=None):
-        print(f"{category.__name__} at {os.path.basename(filename)}: {message}",
-              file=sys.stderr, flush=True)
-
     with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        warnings.showwarning = show
+        warnings.simplefilter("error")
         report = pr.run_experiment([cell], 3, workers=workers, base_seed=11)
-    total = sum(agg.clamped_count for agg in report.cells)
-    assert total > 0
-    assert capfd.readouterr().err.splitlines() == [
-        "RuntimeWarning at test_simulation.py: truncated long-run variance was negative "
-        f"for {total} of 270 portfolio assessments; clamped to 0"]
+    assert [agg.clamped_count for agg in report.cells] == [23, 43, 18]
+    assert sum(agg.n_records for agg in report.cells) == 270
+    assert capfd.readouterr().err == ""
 
 
 def test_cells_differing_only_in_exposure_share_markets():
@@ -799,9 +803,7 @@ def test_run_experiment_starts_no_more_workers_than_tasks(monkeypatch, tmp_path)
             pr.ExperimentCell(N=7, T=30, c=1.0, portfolios_per_rep=5,
                               estimators=("sample",))]
     for workers in (16, 1):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            report = pr.run_experiment(grid, 2, workers=workers, base_seed=23)
+        report = pr.run_experiment(grid, 2, workers=workers, base_seed=23)
         experiment_cells_csv(report, tmp_path / f"{workers}.csv")
     assert sizes == [2]
     assert (tmp_path / "16.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
@@ -852,9 +854,7 @@ def test_run_experiment_does_not_depend_on_block_size(monkeypatch):
 
     def run(budget, workers):
         monkeypatch.setattr(pr.simulation, "_BLOCK_BUDGET", budget)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return pr.run_experiment(grid, 7, workers=workers, base_seed=41).cells
+        return pr.run_experiment(grid, 7, workers=workers, base_seed=41).cells
 
     default = run(pr.simulation._BLOCK_BUDGET, 1)
     assert min(_block_size(6, 24), _block_size(7, 40)) >= 7
@@ -890,11 +890,9 @@ def test_run_experiment_groups_cells_by_market():
                               estimators=("sample",)),
             pr.ExperimentCell(N=6, T=24, c=1.5, portfolios_per_rep=4,
                               estimators=("factor",))]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = pr.run_experiment(grid, 3, workers=1, base_seed=19)
-        alone = [agg for cell in grid
-                 for agg in pr.run_experiment([cell], 3, workers=1, base_seed=19).cells]
+    report = pr.run_experiment(grid, 3, workers=1, base_seed=19)
+    alone = [agg for cell in grid
+             for agg in pr.run_experiment([cell], 3, workers=1, base_seed=19).cells]
     assert report.cells == tuple(alone)
 
 
