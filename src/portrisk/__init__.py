@@ -27,7 +27,7 @@ _PUBLIC = {
     "assessment": """EstimatorSpec LongRunVariance HclubResult CrudeBound
         normal_upper_quantile autocov_sample autocov_factor autocov_poet
         long_run_variances hclub hclub_z crude_bound re_ratios""",
-    "portfolios": """Portfolio SolverOptions sample_random_portfolio sample_random_weights
+    "portfolios": """Portfolio sample_random_portfolio sample_random_weights
         equal_weight gross_exposure min_variance""",
     "simulation": """CalibrationParams ModelInstance ExperimentCell CellAggregate
         ExperimentReport GridConfig default_calibration diversified_calibration

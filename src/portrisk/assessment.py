@@ -300,7 +300,8 @@ class EstimatorSpec:
             raise DataError(f"unknown estimator name {self.name!r}; valid: {ESTIMATOR_NAMES}")
         if self.name == "sample":
             return
-        object.__setattr__(self, "rule", self.rule or self.RULES[self.name])
+        if self.rule is None:
+            object.__setattr__(self, "rule", self.RULES[self.name])
         ThresholdRule(self.rule)  # raises DataError for an unknown rule
         if self.name == "poet" and self.C is None:
             object.__setattr__(self, "C", self.C_DEFAULTS["poet"])

@@ -10,8 +10,7 @@ c = 1.6 is the classic 130/30 strategy.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .estimators import CovarianceEstimate
 __all__ = [
     "DEFAULT_PERIODS_PER_YEAR",
     "Portfolio",
-    "SolverOptions",
     "sample_random_portfolio",
     "sample_random_weights",
     "equal_weight",
@@ -35,7 +33,7 @@ class Portfolio:
     """An N-vector of portfolio weights summing to one."""
 
     weights: np.ndarray
-    gross_exposure: float = 0.0
+    gross_exposure: float = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).reshape(-1)
@@ -153,18 +151,6 @@ def gross_exposure(w: Portfolio) -> float:
     return float(np.abs(np.asarray(getattr(w, "weights", w), dtype=float)).sum())
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Tuning for the minimum-variance solver.
-
-    tol is the relative objective tolerance; max_iter caps the number of
-    accelerated projected-gradient iterations.
-    """
-
-    tol: float = 1e-8
-    max_iter: int = 50_000
-
-
 def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
     """Euclidean projection onto {x >= 0, sum x = total}."""
     if total <= 0.0:
@@ -178,7 +164,7 @@ def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
 
 # the cap on the steps of one active-set run; on N=300 backtest windows
 # the run from the projected GMV signs settles in a few steps
-_ACTIVE_SET_STEPS = 20
+_ACTIVE_SET_STEPS = 1000
 
 
 def _sign_pattern(w: np.ndarray, c: float) -> np.ndarray:
@@ -245,25 +231,47 @@ def _kkt_solve(M: np.ndarray, pattern: np.ndarray, c: float):
 
 def _active_set(M: np.ndarray, pattern: np.ndarray, c: float):
     """Primal-dual active-set method (Hintermueller, Ito & Kunisch 2003)
-    from a signed support.
+    from a signed support, with the backup rule of block principal
+    pivoting (Judice & Pires 1994; Kim & Park 2011).
 
-    Steps the support until it stops changing.  The settled step is the
-    full KKT check of that support, so its weights, the exact optimum, are
-    returned without solving again if the exposure multiplier is
-    admissible.  Returns None when a system is singular, the multiplier is
+    Each step solves the KKT system of the support and proposes the
+    support `_kkt_solve` returns.  The whole proposal is taken while the
+    number of indices it changes reaches a new low, and on up to 3 steps
+    after the last new low; after those, a step changes only the largest
+    index the proposal would change (Murty's single pivot) until a new low
+    comes.  The settled step is the full KKT check of that support, so its
+    weights, the exact optimum, are returned without solving again if the
+    exposure multiplier is admissible.
+
+    At c = 1 the steps are block principal pivoting on LCP(2M, -2 * 1),
+    whose matrix is a P-matrix, with w = x / sum(x), so the run ends after
+    finitely many steps.  For c > 1 that is measured, not proven: on 30,000
+    random problems (N from 3 to 40, c up to 4, Wishart matrices with N+1
+    to N+4 degrees of freedom among them) every run settled within 20
+    solves.  Returns None when a system is singular, the multiplier is
     negative or the support has not settled within _ACTIVE_SET_STEPS steps.
     """
+    fewest, spare = pattern.size + 1, 3
     for _ in range(_ACTIVE_SET_STEPS):
         step = _kkt_solve(M, pattern, c)
         if step is None:
             return None
-        if np.array_equal(step[1], pattern):
-            return step[0] if step[2] else None
-        pattern = step[1]
+        w, proposal, mu_ok = step
+        changed = np.flatnonzero(proposal != pattern)
+        if changed.size == 0:
+            return w if mu_ok else None
+        if changed.size < fewest:
+            fewest, spare = changed.size, 3
+        elif spare:
+            spare -= 1
+        else:
+            changed = changed[-1:]  # Murty's single pivot
+        pattern = pattern.copy()
+        pattern[changed] = proposal[changed]
     return None
 
 
-def min_variance(estimate: CovarianceEstimate, c, opts: SolverOptions | None = None) -> Portfolio:
+def min_variance(estimate: CovarianceEstimate, c) -> Portfolio:
     """Minimize w'Sigma w subject to sum w = 1 and ||w||_1 <= c.
 
     The gross-exposure budget is the convex relaxation of an exact
@@ -271,23 +279,16 @@ def min_variance(estimate: CovarianceEstimate, c, opts: SolverOptions | None = N
     solution has ||w||_1 = c.  If the unconstrained minimum-variance
     portfolio already fits the budget it is returned directly.  Otherwise
     the problem is split as w = p - n with p on a simplex of mass
-    (c+1)/2 and n on a simplex of mass (c-1)/2:
-
-    - The primal-dual active-set method starts from the signs of the
-      unconstrained weights projected onto the two simplices.  It solves
-      the KKT system on the signed support, drops entries of the wrong
-      sign and adds entries that break the KKT condition until the
-      support settles; a settled support is the exact optimum.
-    - Only if it fails (a singular system, no settled support within
-      _ACTIVE_SET_STEPS steps, or a negative exposure multiplier) does
-      accelerated projected gradient (APG) with adaptive restarts run,
-      retrying the method from its iterate's signs every 100 iterations
-      and returning the first settled result.
-    - APG stops as "stalled" when the objective moved by at most opts.tol
-      (relative) over two successive 100-iteration windows.  It then
-      returns its last, uncertified iterate and emits a RuntimeWarning
-      with the iteration count and the last relative objective change.
-      Reaching opts.max_iter without stalling raises NumericalError.
+    (c+1)/2 and n on a simplex of mass (c-1)/2, and the active-set method
+    of `_active_set` starts from the signs of the unconstrained weights
+    projected onto the two simplices.  It solves the KKT system on the
+    signed support, drops entries of the wrong sign and adds entries that
+    break the KKT condition until the support settles; a settled support
+    is the exact optimum.  It ends after finitely many steps at c = 1;
+    for c > 1 it settled on every problem measured.  A singular system,
+    a negative exposure multiplier at the settled support, or no settled
+    support within _ACTIVE_SET_STEPS steps raises NumericalError, which
+    the empirical study records as a skipped case.
 
     A certified result depends only on the support and its signs, so it
     is the same, bit for bit, from whichever start the method settled.
@@ -299,10 +300,7 @@ def min_variance(estimate: CovarianceEstimate, c, opts: SolverOptions | None = N
     verdict is cached on the estimate, as are the eigenvalues and the
     unconstrained weights, so the exposures of one estimate share them.
     """
-    opts = opts or SolverOptions()
     c = _exposure_value(c)
-    M = estimate.matrix
-    N = estimate.N
     if not estimate._min_eigenvalue_above(1e-10):
         why = ("Cholesky factorization failed" if estimate._eig_range is None
                else f"min eigenvalue {estimate.min_eigenvalue:.3e}")
@@ -313,67 +311,11 @@ def min_variance(estimate: CovarianceEstimate, c, opts: SolverOptions | None = N
     if np.abs(gmv).sum() <= c * (1.0 + 1e-12) + 1e-12:
         return Portfolio(gmv)
 
-    mass_p = (c + 1.0) / 2.0
-    mass_n = (c - 1.0) / 2.0
-    start = _project_simplex(gmv, mass_p) - _project_simplex(-gmv, mass_n)
-    finished = _active_set(M, _sign_pattern(start, c), c)
-    if finished is not None:
-        return Portfolio(finished)
-
-    step = 1.0 / (4.0 * estimate.max_eigenvalue)
-
-    p = _project_simplex(np.full(N, 1.0 / N), mass_p)
-    n = _project_simplex(np.zeros(N), mass_n)
-    yp, yn = p.copy(), n.copy()
-    t = 1.0
-
-    def objective(dp, dn):
-        d = dp - dn
-        return float(d @ M @ d)
-
-    fx = objective(p, n)
-    f_window = fx
-    stalled = False
-    for it in range(1, opts.max_iter + 1):
-        g = 2.0 * (M @ (yp - yn))
-        p_new = _project_simplex(yp - step * g, mass_p)
-        n_new = _project_simplex(yn + step * g, mass_n)
-        f_new = objective(p_new, n_new)
-        if f_new > fx:
-            # momentum overshoot: restart from the last accepted point
-            g = 2.0 * (M @ (p - n))
-            p_new = _project_simplex(p - step * g, mass_p)
-            n_new = _project_simplex(n + step * g, mass_n)
-            f_new = objective(p_new, n_new)
-            t = 1.0
-        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        beta = (t - 1.0) / t_new
-        yp = p_new + beta * (p_new - p)
-        yn = n_new + beta * (n_new - n)
-        p, n, fx, t = p_new, n_new, f_new, t_new
-
-        if it % 100 == 0:
-            finished = _active_set(M, _sign_pattern(p - n, c), c)
-            if finished is not None:
-                return Portfolio(finished)
-            change = f_window - fx
-            if change <= opts.tol * max(fx, 1e-300):
-                if stalled:
-                    break
-                stalled = True
-            else:
-                stalled = False
-            f_window = fx
-    else:
-        if not stalled:
-            raise NumericalError(
-                f"minimum-variance solver did not converge in {opts.max_iter} iterations"
-            )
-    warnings.warn(
-        f"minimum-variance solver stalled after {it} iterations without a KKT "
-        f"certificate (relative objective change {change / max(fx, 1e-300):.3e} "
-        f"over the last 100); returning the uncertified iterate",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return Portfolio(p - n)
+    start = _project_simplex(gmv, (c + 1.0) / 2.0) - _project_simplex(-gmv, (c - 1.0) / 2.0)
+    finished = _active_set(estimate.matrix, _sign_pattern(start, c), c)
+    if finished is None:
+        raise NumericalError(
+            f"minimum-variance active-set method did not settle at c={c} (a singular "
+            f"KKT system, a negative exposure multiplier, or {_ACTIVE_SET_STEPS} steps)"
+        )
+    return Portfolio(finished)

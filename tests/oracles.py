@@ -11,7 +11,8 @@ There are two exceptions.  min_variance_apg is a verbatim copy of the
 package's accelerated projected-gradient solver (with its simplex
 projection and KKT check) from before the active-set finish, kept as the
 reference the current solver must reproduce; it uses the package's
-Portfolio, SolverOptions and input validation.
+Portfolio and input validation, and keeps the package's former defaults
+of a 1e-8 relative objective tolerance and 50,000 iterations.
 ensure_positive_definite_eigvalsh is the package's PD repair from before
 it let a failed Cholesky factorization reject a matrix: every verdict
 comes from the smallest eigenvalue.  It re-thresholds through the
@@ -34,7 +35,7 @@ from scipy import special, stats
 
 from portrisk.errors import DataError, NumericalError
 from portrisk.estimators import CovarianceEstimate
-from portrisk.portfolios import Portfolio, SolverOptions, _exposure_value
+from portrisk.portfolios import Portfolio, _exposure_value
 from portrisk.simulation import _draw_error_sds, generate_loadings, solve_lyapunov
 
 
@@ -247,7 +248,7 @@ def _certify_kkt(M: np.ndarray, w: np.ndarray, c: float, support_cut: float):
     return full
 
 
-def min_variance_apg(estimate: CovarianceEstimate, c, opts: SolverOptions | None = None) -> Portfolio:
+def min_variance_apg(estimate: CovarianceEstimate, c) -> Portfolio:
     """Minimize w'Sigma w subject to sum w = 1 and ||w||_1 <= c.
 
     The gross-exposure budget is the convex relaxation of an exact
@@ -260,7 +261,7 @@ def min_variance_apg(estimate: CovarianceEstimate, c, opts: SolverOptions | None
     runs periodically and returns early with a KKT-certified exact
     solution when the support has settled.
     """
-    opts = opts or SolverOptions()
+    tol, max_iter = 1e-8, 50_000
     c = _exposure_value(c)
     M = estimate.matrix
     N = estimate.N
@@ -291,7 +292,7 @@ def min_variance_apg(estimate: CovarianceEstimate, c, opts: SolverOptions | None
     fx = objective(p, n)
     f_window = fx
     stalled = False
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, max_iter + 1):
         g = 2.0 * (M @ (yp - yn))
         p_new = _project_simplex(yp - step * g, mass_p)
         n_new = _project_simplex(yn + step * g, mass_n)
@@ -314,7 +315,7 @@ def min_variance_apg(estimate: CovarianceEstimate, c, opts: SolverOptions | None
                 refined = _certify_kkt(M, p - n, c, cut)
                 if refined is not None:
                     return Portfolio(refined)
-            if f_window - fx <= opts.tol * max(fx, 1e-300):
+            if f_window - fx <= tol * max(fx, 1e-300):
                 if stalled:
                     break
                 stalled = True
@@ -324,7 +325,7 @@ def min_variance_apg(estimate: CovarianceEstimate, c, opts: SolverOptions | None
     else:
         if not stalled:
             raise NumericalError(
-                f"minimum-variance solver did not converge in {opts.max_iter} iterations"
+                f"minimum-variance solver did not converge in {max_iter} iterations"
             )
     return Portfolio(p - n)
 

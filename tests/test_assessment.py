@@ -560,6 +560,13 @@ def test_estimator_spec_rejects_invalid_settings_up_front():
         pr.EstimatorSpec("factor").fit(calibrated_market(6, 30, 1)[1])
 
 
+@pytest.mark.parametrize("name", ["factor", "poet"])
+def test_an_empty_threshold_rule_is_not_the_default(name):
+    # only None selects the default rule; "" used to become it silently
+    with pytest.raises(pr.DataError, match="unknown threshold rule ''"):
+        pr.EstimatorSpec(name, rule="")
+
+
 def test_estimator_specs_are_hashable_cache_keys():
     a = pr.EstimatorSpec("poet", rule="soft", C=0.5, K=3)
     assert a == pr.EstimatorSpec("poet", rule="soft", C=0.5, K=3)

@@ -275,9 +275,9 @@ def test_min_variance_gets_the_exposure_itself(monkeypatch):
     seen = []
     solve = pr.backtest.min_variance
 
-    def spy(est, c, opts=None):
+    def spy(est, c):
         seen.append(c)
-        return solve(est, c, opts)
+        return solve(est, c)
 
     monkeypatch.setattr(pr.backtest, "min_variance", spy)
     returns, factors = _market(8, 81, 241)

@@ -1004,6 +1004,13 @@ def test_parse_grid_config_errors_name_the_key_and_line():
         pr.parse_grid_config("Ns =\nTs = 20\ncs = 1\n")
 
 
+@pytest.mark.parametrize("key", ["factor_rule", "poet_rule"])
+def test_parse_grid_config_rejects_an_empty_threshold_rule(key):
+    # an empty value used to run the estimator's default rule
+    with pytest.raises(pr.DataError, match="unknown threshold rule ''"):
+        pr.parse_grid_config(f"Ns = 20\nTs = 60\ncs = 1\n{key} =\n")
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 def test_parse_grid_config_rejects_a_bad_periods_per_year(value):
     # used to pass until the figures were annualized, after the whole run
