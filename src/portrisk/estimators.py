@@ -99,21 +99,23 @@ class CovarianceEstimate:
     """An N x N covariance estimate with its provenance.
 
     tuning records the threshold constant C, the rule kind, and the factor
-    count K where applicable.  min_eigenvalue is computed lazily and
-    cached, and so are the Cholesky verdict of _min_eigenvalue_above and
-    the weights of _gmv_weights; construction symmetrizes the matrix after
-    checking that any asymmetry is at the floating-point noise level.
-    sample_covariance and poet_covariance pass _symmetric=True and skip
-    both: their matrices are X'X products, which numpy computes exactly
-    symmetric (syrk), and entrywise maps of them, so (m + m')/2 would
-    return m bit for bit.
+    count K where applicable.  The eigenvalue range is computed lazily for
+    reporting and cached, and so are the Cholesky verdicts of
+    _min_eigenvalue_above, which decides positive definiteness without
+    eigenvalues, and the weights of _gmv_weights.  Construction
+    symmetrizes the matrix after checking that any asymmetry is at the
+    floating-point noise level.  sample_covariance and poet_covariance
+    pass _symmetric=True and skip both: their matrices are X'X products,
+    which numpy computes exactly symmetric (syrk), and entrywise maps of
+    them, so (m + m')/2 would return m bit for bit.
     """
 
     matrix: np.ndarray
     kind: str
     tuning: dict = field(default_factory=dict)
     _eig_range: tuple | None = field(default=None, repr=False, compare=False)
-    _cholesky_ok: bool | None = field(default=None, repr=False, compare=False)
+    _passed: float = field(default=-math.inf, repr=False, compare=False)
+    _failed: float = field(default=math.inf, repr=False, compare=False)
     _gmv: np.ndarray | None = field(default=None, repr=False, compare=False)
     _rebuild: Callable | None = field(default=None, repr=False, compare=False)
     _symmetric: InitVar[bool] = False
@@ -154,29 +156,28 @@ class CovarianceEstimate:
         return self._eigs()[1]
 
     def _min_eigenvalue_above(self, cut: float) -> bool:
-        """Whether min_eigenvalue exceeds cut, without eigvalsh when a
-        failed Cholesky factorization already answers no.
+        """Whether the smallest eigenvalue exceeds cut: whether M - cut * I,
+        one N x N copy with its diagonal lowered, has a Cholesky
+        factorization (Higham 2002, ch. 10).  No eigenvalues are computed.
 
-        A failed np.linalg.cholesky puts the smallest eigenvalue at the
-        rounding level, about N * eps * max diag, or below (the worst-case
-        error analysis allows about N times more; at N=300 failures start
-        below 1e-15 * max diag).  While the eigenvalues are not yet known
-        and that level is below cut, the factorization is tried (once: its
-        verdict is cached) and a failure answers no.  Every other case
-        compares min_eigenvalue with cut, so an estimate that is kept always
-        has its eigenvalues computed.
+        The verdict is exact up to the factorization's backward error,
+        about N * eps * max diag.  A pass at c answers every cut <= c and a
+        failure every cut >= c, so the estimate keeps the largest cut passed
+        and the smallest failed, and a query they answer factors nothing.
         """
-        rounding = self.N * np.finfo(float).eps * float(np.max(np.diag(self.matrix)))
-        if self._eig_range is None and rounding < cut:
-            if self._cholesky_ok is None:
-                try:
-                    np.linalg.cholesky(self.matrix)
-                    self._cholesky_ok = True
-                except np.linalg.LinAlgError:
-                    self._cholesky_ok = False
-            if not self._cholesky_ok:
-                return False
-        return self.min_eigenvalue > cut
+        if cut <= self._passed:
+            return True
+        if cut >= self._failed:
+            return False
+        shifted = self.matrix.copy()
+        shifted.flat[::self.N + 1] -= cut
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            self._failed = cut
+            return False
+        self._passed = cut
+        return True
 
     def _gmv_weights(self) -> np.ndarray:
         """The global minimum-variance weights M^-1 1 / 1'M^-1 1, read-only;
@@ -453,10 +454,10 @@ def ensure_positive_definite(estimate: CovarianceEstimate) -> CovarianceEstimate
     when that C is zero), and returns the first positive-definite
     estimate, with the C actually used recorded in tuning.
 
-    A matrix whose Cholesky factorization fails is rejected without its
-    eigenvalues when the failure bounds the smallest eigenvalue below 1e-8
-    (see CovarianceEstimate._min_eigenvalue_above), so a rejected
-    candidate costs one failed factorization, not an eigendecomposition.
+    Each verdict is one Cholesky factorization of the candidate minus
+    1e-8 * I (see CovarianceEstimate._min_eigenvalue_above), kept or
+    rejected, with no eigendecomposition; a kept estimate carries its
+    pass, so min_variance's lower cut costs no further factorization.
     A rebuild reuses the N x N parts of the estimate that do not depend on
     C (see _thresholded).
     """

@@ -294,19 +294,16 @@ def min_variance(estimate: CovarianceEstimate, c) -> Portfolio:
     is the same, bit for bit, from whichever start the method settled.
 
     An estimate whose smallest eigenvalue is not above 1e-10 raises
-    NumericalError.  When a failed Cholesky factorization bounds it below
-    that cut the eigenvalues are never computed, and the message says
-    "Cholesky factorization failed" instead of quoting the eigenvalue; the
-    verdict is cached on the estimate, as are the eigenvalues and the
-    unconstrained weights, so the exposures of one estimate share them.
+    NumericalError: the test is one Cholesky factorization of
+    M - 1e-10 * I, and no eigenvalues are computed.  Its verdict is cached
+    on the estimate, as are the unconstrained weights, so the exposures of
+    one estimate share them, and an estimate that ensure_positive_definite
+    kept at 1e-8 is not factored again.
     """
     c = _exposure_value(c)
     if not estimate._min_eigenvalue_above(1e-10):
-        why = ("Cholesky factorization failed" if estimate._eig_range is None
-               else f"min eigenvalue {estimate.min_eigenvalue:.3e}")
-        raise NumericalError(
-            f"covariance is not positive definite ({why}); re-threshold before optimizing"
-        )
+        raise NumericalError("covariance is not positive definite (Cholesky factorization "
+                             "failed); re-threshold before optimizing")
     gmv = estimate._gmv_weights()
     if np.abs(gmv).sum() <= c * (1.0 + 1e-12) + 1e-12:
         return Portfolio(gmv)

@@ -351,10 +351,11 @@ def test_clamped_and_skipped_cases_share_the_one_warning():
 def test_wide_study_decomposes_and_solves_each_kept_estimate_once(monkeypatch):
     # the shape of perfbench's backtest_wide: N=300, two 252-period windows.
     # Per window the sample estimate is singular and the factor estimate is
-    # repaired from C=0.3 over 0.6 to 1.2; failed Cholesky factorizations
-    # reject those without eigvalsh, and the exposures of an estimate share
-    # one solve of M w = 1.  Before, the study ran eigvalsh 10 times and
-    # that solve 12 times
+    # repaired from C=0.3 over 0.6 to 1.2.  Each verdict is one Cholesky
+    # factorization of M - cut * I: the kept estimates pass min_variance's
+    # lower cut without another, no estimate is eigendecomposed, and the
+    # exposures of an estimate share one solve of M w = 1.  Before, the
+    # study ran eigvalsh 10 times and that solve 12 times
     _, returns, factors = calibrated_market(300, 252 + 2 * 21, 31)
     calls = {"eigvalsh": 0, "solve": 0, "cholesky": 0}
 
@@ -371,7 +372,7 @@ def test_wide_study_decomposes_and_solves_each_kept_estimate_once(monkeypatch):
                             exposures=(1.0, 1.6, 2.0))
     report = pr.run_empirical_study(returns, factors, cfg)
     assert len(report.skipped) == 6
-    assert calls == {"eigvalsh": 4, "solve": 4, "cholesky": 10}
+    assert calls == {"eigvalsh": 0, "solve": 4, "cholesky": 10}
     assert len(report.records) == 18
 
 

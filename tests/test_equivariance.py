@@ -61,3 +61,25 @@ def test_permuted_assets_permute_the_estimate(market, name):
     got = spec.fit(permuted, fpanel).estimate.matrix
     expected = base[np.ix_(perm, perm)]
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(base))
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+def test_empirical_study_decides_positive_definiteness_without_eigenvalues(scale, monkeypatch):
+    # the PD repair and the min_variance gate decide by Cholesky
+    # factorizations at every scale, so no N x N estimate is
+    # eigendecomposed; the only eigenvalues computed are those of the 3 x 3
+    # factor Gram matrix, ols_factor_fit's singularity check
+    N, T = 300, 252
+    _, panel, fpanel = _generate_market(pr.default_calibration(), N, T, 17, 0)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    cfg = pr.BacktestConfig(estimation_window=210, holding_window=21)
+    report = pr.run_empirical_study(_scaled(panel, scale), fpanel, cfg)
+    assert report.n_rebalances == 2 and len(report.records) > 0
+    assert shapes == [(3, 3)] * report.n_rebalances

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import portrisk as pr
 import oracles
@@ -506,8 +507,8 @@ def test_ensure_pd_reuses_the_poet_pca_fit(monkeypatch):
     assert calls == []
 
 
-# the eigvalsh-only repair in oracles is the reference: a failed Cholesky
-# factorization may spare an eigendecomposition but never change a verdict
+# the eigvalsh-only repair in oracles is the reference: deciding by a
+# Cholesky factorization instead of the eigenvalues changes no verdict
 
 def _pd_repair_builder(kind, panel, factors):
     """C -> a fresh factor (hard rule) or poet (soft rule, K=3) estimate."""
@@ -556,8 +557,8 @@ def test_ensure_pd_raises_the_oracle_error_after_20_doublings(noise):
 
 
 def test_ensure_pd_rejects_failed_factorizations_without_eigenvalues(monkeypatch):
-    # C=0.3 and 0.6 fail their Cholesky factorization; only the kept
-    # estimate at 1.2 is decomposed, once
+    # C=0.3 and 0.6 fail their Cholesky factorization and 1.2 passes; no
+    # candidate, rejected or kept, is eigendecomposed
     _, panel, factors = calibrated_market(60, 40, (5, "pd"))
     start = _pd_repair_builder("factor", panel, factors)(0.3)
     decomposed = []
@@ -570,19 +571,72 @@ def test_ensure_pd_rejects_failed_factorizations_without_eigenvalues(monkeypatch
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     fixed = pr.ensure_positive_definite(start)
     assert fixed.tuning["C"] == 1.2
-    assert len(decomposed) == 1 and decomposed[0] is fixed.matrix
-    assert start._cholesky_ok is False and start._eig_range is None
+    assert len(decomposed) == 0
+    assert start._failed == 1e-8 and start._eig_range is None
+    assert fixed._passed == 1e-8 and fixed._eig_range is None
 
 
-def test_a_failed_factorization_decides_only_below_its_rounding_level():
-    # 50 assets over 20 periods: a singular sample estimate, whose Cholesky
-    # factorization fails.  That failure bounds the smallest eigenvalue by
-    # about N * eps * max diag, so it answers for cuts above that level;
-    # for a cut below it the eigenvalues decide
-    est = pr.sample_covariance(make_panel(np.random.default_rng(79).standard_normal((20, 50))))
-    level = 50 * np.finfo(float).eps * float(np.max(np.diag(est.matrix)))
-    assert not est._min_eigenvalue_above(2.0 * level)
-    assert est._cholesky_ok is False and est._eig_range is None
-    verdict = est._min_eigenvalue_above(level / 2.0)
-    assert est._eig_range is not None
-    assert verdict == (est.min_eigenvalue > level / 2.0)
+def test_a_shifted_factorization_decides_cuts_around_a_known_spectrum(monkeypatch):
+    # M = Q diag(lam) Q' with smallest eigenvalue 1e-6: cuts 2 and 8
+    # rounding levels (N * eps * max diag) to either side decide as
+    # 1e-6 > cut, each by one factorization of M - cut * I, and a cut that
+    # an estimate's earlier pass or failure answers factors nothing
+    rng = np.random.default_rng(83)
+    N = 60
+    Q, _ = np.linalg.qr(rng.standard_normal((N, N)))
+    M = (Q * np.concatenate([[1e-6], np.logspace(-2, 0, N - 1)])) @ Q.T
+    M = (M + M.T) / 2.0
+    level = N * np.finfo(float).eps * float(np.max(np.diag(M)))
+    factorized = []
+    cholesky = np.linalg.cholesky
+
+    def counted(m):
+        factorized.append(m)
+        return cholesky(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    for k in (-8, -2, 2, 8):
+        cut = 1e-6 + k * level
+        assert pr.CovarianceEstimate(M, "factor")._min_eigenvalue_above(cut) == (k < 0)
+        assert np.array_equal(factorized[-1], M - cut * np.eye(N))
+    est = pr.CovarianceEstimate(M, "factor")
+    assert est._min_eigenvalue_above(1e-6 - 2 * level)
+    assert not est._min_eigenvalue_above(1e-6 + 2 * level)
+    assert len(factorized) == 6
+    for lower in (1e-6 - 8 * level, 1e-8, -1.0):
+        assert est._min_eigenvalue_above(lower)
+    for higher in (1e-6 + 8 * level, 1e-3, 1.0):
+        assert not est._min_eigenvalue_above(higher)
+    assert len(factorized) == 6 and est._eig_range is None
+
+
+def _pd_test_matrix(kind, N, seed):
+    """A random symmetric matrix: a near-singular Wishart (N+1 to N+4
+    degrees of freedom), factor plus diagonal, or rank-deficient plus
+    delta * I."""
+    rng = np.random.default_rng(seed)
+    if kind == "wishart":
+        X = rng.standard_normal((N + int(rng.integers(1, 5)), N))
+        return X.T @ X / X.shape[0]
+    if kind == "factor":
+        B = rng.normal(1.0, 0.7, size=(N, int(rng.integers(1, 4))))
+        return B @ B.T + np.diag(rng.uniform(0.1, 2.0, size=N))
+    X = rng.standard_normal((int(rng.integers(1, N)), N))
+    return X.T @ X / X.shape[0] + 10.0 ** rng.uniform(-14, -2) * np.eye(N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["wishart", "factor", "deficient"]), N=st.integers(3, 300),
+       scale=st.sampled_from([1e-4, 1.0, 1e2]), seed=st.integers(0, 2**32 - 1),
+       t=st.floats(1.01, 8.0))
+def test_positive_definiteness_matches_the_smallest_eigenvalue(kind, N, scale, seed, t):
+    # the Cholesky verdict equals eigvalsh's wherever the smallest
+    # eigenvalue is more than N^2 * eps * max diag from the cut: the
+    # package's two cuts, and cuts t such distances to either side
+    matrix = pr.CovarianceEstimate(scale * _pd_test_matrix(kind, N, seed), "sample").matrix
+    lam = np.linalg.eigvalsh(matrix)[0]
+    band = N * N * np.finfo(float).eps * float(np.max(np.diag(matrix)))
+    for cut in (1e-10, 1e-8, lam - t * band, lam + t * band):
+        if abs(lam - cut) > band:
+            verdict = pr.CovarianceEstimate(matrix, "sample")._min_eigenvalue_above(cut)
+            assert verdict == (lam > cut)

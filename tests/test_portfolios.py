@@ -438,8 +438,8 @@ def test_settled_first_finish_runs_no_apg(backtest_factor_estimate, c, monkeypat
 
 
 def test_exposures_on_one_estimate_equal_calls_on_fresh_estimates(backtest_factor_estimate):
-    # one estimate caches its eigenvalues, Cholesky verdict and unconstrained
-    # weights across calls; c=50 returns those weights themselves
+    # one estimate caches its Cholesky verdict and unconstrained weights
+    # across calls; c=50 returns those weights themselves
     est = pr.CovarianceEstimate(backtest_factor_estimate.matrix, "factor",
                                 dict(backtest_factor_estimate.tuning))
     cs = (50.0, 1.0, 1.6, 2.0, 50.0)
