@@ -336,7 +336,7 @@ def _cmd_sample_portfolios(args) -> int:
 
 def _cmd_simulate(args) -> int:
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"{args.config}: not UTF-8 text ({exc.reason})") from None
     import hashlib

@@ -61,7 +61,8 @@ def _check_dates(dates: tuple[str, ...]) -> None:
 class _Panel:
     """Checks and row slicing shared by ReturnsPanel and FactorPanel: a
     subclass names its column-label field (_COLUMNS), one column (_NOUN),
-    the panel (_KIND) and, with _MIN_ROWS = 2, needs at least two rows."""
+    the panel (_KIND) and, with _MIN_ROWS = 2, needs at least two rows.
+    Column labels must be distinct, so each maps back to one column."""
 
     _MIN_ROWS = 0
 
@@ -79,6 +80,9 @@ class _Panel:
             raise DataError(f"a {self._KIND} panel needs at least two rows")
         if not names:
             raise DataError(f"a {self._KIND} panel needs at least one {self._NOUN}")
+        if len(set(names)) != len(names):
+            repeated = next(name for i, name in enumerate(names) if name in names[:i])
+            raise DataError(f"{self._NOUN} {repeated!r} appears twice in a {self._KIND} panel")
         if not np.all(np.isfinite(values)):
             t, j = np.argwhere(~np.isfinite(values))[0]
             raise DataError(
@@ -181,12 +185,13 @@ _NOT_PLAIN = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
 def _read_plain_table(path: Path, config: ParseConfig):
     """_read_table's result for a plain file, or None for any other file.
 
-    A file is plain when it is UTF-8 text without a quote, NUL, lone
-    carriage return or ASCII separator (\\x1c-\\x1f), its delimiter is one
-    character other than whitespace, '"' and '#', no column is dropped,
-    and after the comment and empty lines the header has two fields or
-    more and every line after it has the header's field count, a nonblank
-    date later than the one before and numbers np.loadtxt parses.  On such
+    A file is plain when it is UTF-8 text (a leading byte-order mark is
+    dropped) without a quote, NUL, lone carriage return or ASCII separator
+    (\\x1c-\\x1f), its delimiter is one character other than whitespace,
+    '"' and '#', no column is dropped, and after the comment and empty
+    lines the header has two fields or more and every line after it has
+    the header's field count, a nonblank date later than the one before
+    and numbers np.loadtxt parses.  On such
     a file splitting at newlines and at the delimiter cuts where csv.reader
     does, and loadtxt takes a number exactly when float() does and gives
     the same double, except for underscores and non-ASCII digits, which
@@ -197,7 +202,7 @@ def _read_plain_table(path: Path, config: ParseConfig):
     if len(sep) != 1 or sep.isspace() or sep in '"#':
         return None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         return None

@@ -1,11 +1,13 @@
 """File formats: covariance matrices, portfolios, panels, assessment rows.
 
 All text formats are UTF-8 CSV with optional comment lines marked by '#'
-(indentation allowed); write_csv and read_csv are the package's only CSV
-writer and reader, except that the panel loaders parse a plain file's
-numbers with np.loadtxt (see panels._read_table).  Floats are written as repr(float(v)), which
-round-trips doubles exactly, so write/read cycles are lossless.  The
-binary covariance format stores the lower triangle only:
+(indentation allowed); a leading byte-order mark, as spreadsheet "CSV
+UTF-8" exports write, is accepted and dropped.  write_csv and read_csv are
+the package's only CSV writer and reader, except that the panel loaders
+parse a plain file's numbers with np.loadtxt (see panels._read_table).
+Floats are written as repr(float(v)), which round-trips doubles exactly,
+so write/read cycles are lossless.  The binary covariance format stores
+the lower triangle only:
 
     bytes 0..3   magic "PRL1"
     bytes 4..7   N as little-endian uint32
@@ -65,9 +67,10 @@ def write_csv(path, header_lines, columns, rows):
 
 def read_csv(path, delimiter=",") -> list:
     """Parsed rows without blank rows and rows whose first cell starts
-    with '#' after whitespace; a file that is not UTF-8 raises DataError."""
+    with '#' after whitespace; a leading byte-order mark is dropped, and a
+    file that is not UTF-8 raises DataError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return [row for row in csv.reader(fh, delimiter=delimiter)
                     if row and not row[0].lstrip().startswith("#")]
     except UnicodeDecodeError as exc:

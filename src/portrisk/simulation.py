@@ -561,7 +561,9 @@ class ExperimentCell:
 
     Construction builds each estimator's EstimatorSpec (a rule or C of None
     is the spec's default) and checks that it fits N assets over T periods,
-    so invalid settings fail before any market is simulated.
+    so invalid settings fail before any market is simulated.  It also
+    resolves the calibration (None is the shared default_calibration) and
+    the cell's market, (calibration fingerprint, N, T), once.
     """
 
     N: int
@@ -594,6 +596,9 @@ class ExperimentCell:
             "poet": dict(rule=self.poet_rule, C=self.poet_C, K=self.poet_K)}))
         for spec in self._specs:
             spec.check_fits(self.N, self.T)
+        params = self.calibration or _default_calibration()
+        object.__setattr__(self, "_params", params)
+        object.__setattr__(self, "_market_key", (params.fingerprint(), self.N, self.T))
 
 
 @dataclass
@@ -604,10 +609,6 @@ class ReplicationRecord:
     rep: int
     true_variance: np.ndarray            # (P,)
     per_estimator: dict                  # name -> dict of (P,) arrays
-
-
-def _calibration(cell: ExperimentCell) -> CalibrationParams:
-    return cell.calibration or _default_calibration()
 
 
 def _correlated_errors(Z: np.ndarray, instance: ModelInstance) -> np.ndarray:
@@ -624,55 +625,17 @@ def _correlated_errors(Z: np.ndarray, instance: ModelInstance) -> np.ndarray:
     return Z
 
 
-def _generate_markets(params: CalibrationParams, N: int, T: int, base_seed: int, reps):
-    """Instance, returns panel and factor panel of each (N, T, rep) market.
-
-    Yields one market per replication of reps, in order.  Each is a
-    deterministic function of its own arguments: the model stream is keyed
-    by (base_seed, N, T, rep) and consumed in the order loadings, error
-    covariance, VAR(1) innovations, errors.  The instances and factor paths
-    of all of reps are drawn up front, the factor chains in one stacked
-    recursion; the errors and panels of a market are drawn when it is
-    asked for.
-    """
-    rngs = [derive_rng(base_seed, "model", N, T, rep) for rep in reps]
-    instances = [build_model_instance(params, N, rng) for rng in rngs]
-    factors = generate_var1_factors(params, T, rngs)
-    dates = tuple(f"t{t:06d}" for t in range(T))
-    assets = default_asset_labels(N)
-    for instance, F, rng in zip(instances, factors, rngs):
-        U = _correlated_errors(rng.standard_normal((T, N)), instance)
-        market = (instance, ReturnsPanel(dates, assets, F @ instance.B.T + U),
-                  FactorPanel(dates, ("f1", "f2", "f3"), F))
-        # the frame stays suspended while the caller uses the market: drop U
-        del U
-        yield market
-
-
-def _generate_market(params: CalibrationParams, N: int, T: int, base_seed: int, rep: int):
-    """Instance, returns panel and factor panel of one (N, T, rep) market."""
-    [market] = _generate_markets(params, N, T, base_seed, (rep,))
-    return market
-
-
-def _market_key(cell: ExperimentCell) -> tuple:
-    return _calibration(cell).fingerprint(), cell.N, cell.T
-
-
 class _Market:
     """One simulated market and the estimates built on it.
 
-    Every cell of the market shares the simulated data; a spec's estimate
-    is built on first request and reused by each later cell with an equal
-    spec.
+    key is (calibration fingerprint, N, T, base_seed, rep).  Every cell of
+    the market shares the simulated data; a spec's estimate is built on
+    first request and reused by each later cell with an equal spec.
     """
 
-    def __init__(self, cell: ExperimentCell, base_seed: int, rep: int, simulated=None):
-        """simulated: this market's (instance, panel, fpanel) if already drawn."""
-        self.key = _market_key(cell) + (int(base_seed), rep)
-        if simulated is None:
-            simulated = _generate_market(_calibration(cell), cell.N, cell.T, base_seed, rep)
-        self.instance, self.panel, self.fpanel = simulated
+    def __init__(self, key: tuple, instance: ModelInstance, panel: ReturnsPanel,
+                 fpanel: FactorPanel):
+        self.key, self.instance, self.panel, self.fpanel = key, instance, panel, fpanel
         self._estimates = {}
 
     def estimate(self, spec: EstimatorSpec) -> tuple:
@@ -687,19 +650,44 @@ class _Market:
         return self._estimates[spec]
 
 
+def _generate_markets(params: CalibrationParams, N: int, T: int, base_seed: int, reps):
+    """The _Market of each (N, T, rep) market, for every rep of reps in order.
+
+    This is the one place a market is simulated.  Each is a deterministic
+    function of its own arguments: the model stream is keyed by (base_seed,
+    N, T, rep) and consumed in the order loadings, error covariance, VAR(1)
+    innovations, errors.  The instances and factor paths of all of reps are
+    drawn up front, the factor chains in one stacked recursion; the errors
+    and panels of a market are drawn when it is asked for.
+    """
+    key = (params.fingerprint(), N, T, int(base_seed))
+    rngs = [derive_rng(base_seed, "model", N, T, rep) for rep in reps]
+    instances = [build_model_instance(params, N, rng) for rng in rngs]
+    factors = generate_var1_factors(params, T, rngs)
+    dates = tuple(f"t{t:06d}" for t in range(T))
+    assets = default_asset_labels(N)
+    for rep, instance, F, rng in zip(reps, instances, factors, rngs):
+        U = _correlated_errors(rng.standard_normal((T, N)), instance)
+        panel = ReturnsPanel(dates, assets, F @ instance.B.T + U)
+        # the frame stays suspended while the caller uses the market: drop U,
+        # and keep no reference to the market or the estimates it collects
+        del U
+        yield _Market(key + (rep,), instance, panel, FactorPanel(dates, ("f1", "f2", "f3"), F))
+
+
 def run_replication(cell: ExperimentCell, base_seed: int, rep: int,
                     market: _Market | None = None) -> ReplicationRecord:
     """One full pass of the protocol for one cell.
 
-    Simulates the market (or takes the one given, which must be this
-    cell's market for base_seed and rep), builds every requested
-    estimator, draws the cell's portfolios, and records Delta, xi,
-    U(tau), RE1, RE2 and the coverage indicator per portfolio and
-    estimator.
+    Simulates the market through _generate_markets (or takes the one
+    given, whose key must be this cell's market for base_seed and rep),
+    builds every requested estimator, draws the cell's portfolios, and
+    records Delta, xi, U(tau), RE1, RE2 and the coverage indicator per
+    portfolio and estimator.
     """
     if market is None:
-        market = _Market(cell, base_seed, rep)
-    elif market.key != _market_key(cell) + (int(base_seed), rep):
+        [market] = _generate_markets(cell._params, cell.N, cell.T, base_seed, (rep,))
+    elif market.key != cell._market_key + (int(base_seed), rep):
         raise DataError("the market given was not simulated for this cell and replication")
     N, T, P = cell.N, cell.T, cell.portfolios_per_rep
 
@@ -849,14 +837,15 @@ def _run_task(grid: tuple, markets: tuple, base_seed: int, task: tuple) -> list:
     market_index, reps = task
     cells = markets[market_index]
     lead = grid[cells[0]]
-    simulated = _generate_markets(_calibration(lead), lead.N, lead.T, base_seed, reps)
     out = []
-    for rep, data in zip(reps, simulated):
-        market = _Market(lead, base_seed, rep, data)
+    # not zipped with reps: zip's reused result tuple would keep the last
+    # market and its estimates alive while the next one is drawn
+    for market in _generate_markets(lead._params, lead.N, lead.T, base_seed, reps):
+        rep = market.key[-1]
         out.extend((ci, rep, run_replication(grid[ci], base_seed, rep, market))
                    for ci in cells)
         # free this market and its estimates before the next one is drawn
-        del market, data
+        del market
     return out
 
 
@@ -890,7 +879,7 @@ def run_experiment(grid, replications: int, workers: int | None = None,
 
     by_key: dict = {}
     for ci, cell in enumerate(grid):
-        by_key.setdefault(_market_key(cell), []).append(ci)
+        by_key.setdefault(cell._market_key, []).append(ci)
     markets = tuple(tuple(cells) for cells in by_key.values())
     tasks = []
     for mi, cells in enumerate(markets):

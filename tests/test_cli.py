@@ -288,6 +288,51 @@ def test_non_utf8_grid_config_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def _with_bom(path, source):
+    """path holding source's bytes behind a UTF-8 byte-order mark, as a
+    spreadsheet's "CSV UTF-8" export writes them."""
+    path.write_bytes(BOM + source.read_bytes())
+    return str(path)
+
+
+def test_hclub_reads_a_portfolio_with_a_byte_order_mark(panel_files, tmp_path, capsys):
+    # it used to say "expected an 'asset,weight' header row"
+    returns, _, rpath, _ = panel_files
+    book = tmp_path / "book.csv"
+    ser.write_portfolio_csv(book, np.full(returns.N, 1.0 / returns.N), returns.assets)
+    for name, path in (("plain", str(book)), ("bom", _with_bom(tmp_path / "bom.csv", book))):
+        assert main(["--output-dir", str(tmp_path / name), "hclub", "--returns", rpath,
+                     "--estimator", "sample", "--portfolio", path]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "bom" / "assessment.csv").read_bytes()
+            == (tmp_path / "plain" / "assessment.csv").read_bytes())
+
+
+def test_simulate_reads_a_config_with_a_byte_order_mark(tmp_path, capsys):
+    # it used to say "unknown key '\ufeffNs'"; the config hash is the one
+    # of the text, so both runs write the same bytes
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(SIM_CONFIG)
+    for name, path in (("plain", str(cfg)), ("bom", _with_bom(tmp_path / "bom.cfg", cfg))):
+        assert main(["--output-dir", str(tmp_path / name), "--threads", "1",
+                     "simulate", "--config", path]) == 0
+    capsys.readouterr()
+    for table in ("experiment_cells.csv", "experiment_figures.csv"):
+        assert (tmp_path / "bom" / table).read_bytes() == (tmp_path / "plain" / table).read_bytes()
+
+
+def test_report_reads_cells_with_a_byte_order_mark(cells_file, tmp_path, capsys):
+    # the mark used to hide the first '#' line, which was then taken for
+    # the column row: "'estimator' is not in list"
+    assert main(["report", "--cells", str(cells_file)]) == 0
+    plain = capsys.readouterr().out
+    assert main(["report", "--cells", _with_bom(tmp_path / "bom.csv", cells_file)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 @pytest.mark.parametrize("flags", [
     ("empirical", "--exposures", "1,abc"),
     ("empirical", "--delimiter", ";;"),

@@ -11,7 +11,7 @@ import pytest
 
 import portrisk as pr
 from portrisk.estimators import ESTIMATOR_NAMES
-from portrisk.simulation import _generate_market
+from portrisk.simulation import _generate_markets
 
 SHAPES = [(40, 120), (100, 300), (300, 252)]
 
@@ -19,7 +19,8 @@ SHAPES = [(40, 120), (100, 300), (300, 252)]
 @pytest.fixture(scope="module", params=SHAPES, ids=lambda nt: f"N{nt[0]}-T{nt[1]}")
 def market(request):
     N, T = request.param
-    _, panel, fpanel = _generate_market(pr.default_calibration(), N, T, 17, 0)
+    [m] = _generate_markets(pr.default_calibration(), N, T, 17, (0,))
+    panel, fpanel = m.panel, m.fpanel
     W = pr.sample_random_weights(N, 1.6, pr.derive_rng(17, "equivariance", N, T), P=8)
     return panel, fpanel, W
 
@@ -70,7 +71,8 @@ def test_empirical_study_decides_positive_definiteness_without_eigenvalues(scale
     # eigendecomposed; the only eigenvalues computed are those of the 3 x 3
     # factor Gram matrix, ols_factor_fit's singularity check
     N, T = 300, 252
-    _, panel, fpanel = _generate_market(pr.default_calibration(), N, T, 17, 0)
+    [m] = _generate_markets(pr.default_calibration(), N, T, 17, (0,))
+    panel, fpanel = m.panel, m.fpanel
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 

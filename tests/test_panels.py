@@ -137,6 +137,37 @@ def test_duplicate_date_error(tmp_path):
         pr.load_factors_csv(path)
 
 
+def test_repeated_asset_label_error(tmp_path):
+    # 'date,a,a,b' used to load as assets ('a', 'a', 'b'); the row parser
+    # (the quoted cell) and the fast loader both reach the panel's check
+    for header in ("date,a,a,b", 'date,a,"a",b'):
+        path = write_text(tmp_path / "dup.csv", [
+            header, "2020-01-01,0.1,0.2,0.3", "2020-01-02,0.4,0.5,0.6"])
+        with pytest.raises(pr.DataError, match="asset 'a' appears twice in a returns panel"):
+            pr.load_returns_csv(path)
+
+
+def test_repeated_factor_label_error():
+    with pytest.raises(pr.DataError, match="factor 'f2' appears twice in a factor panel"):
+        make_factor_panel(np.zeros((3, 4)), names=("f1", "f2", "f3", "f2"))
+    # the labels of a slice are the panel's, so slicing keeps them distinct
+    fpanel = make_factor_panel(np.zeros((3, 2)))
+    assert fpanel.slice_rows(1, 3).factor_names == ("f1", "f2")
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with U+FEFF; a comment line
+    # behind it is still a comment, on the fast path and the row parser
+    lines = ["# exported", "date,aaa,bbb", "2020-01-01,0.5,1", "2020-01-02,0.25,2"]
+    plain = pr.load_returns_csv(write_text(tmp_path / "plain.csv", lines))
+    for name, body in (("fast", lines), ("rows", lines[:-1] + ['2020-01-02,0.25,"2"'])):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + ("\n".join(body) + "\n").encode())
+        panel = pr.load_returns_csv(path)
+        assert (panel.dates, panel.assets) == (plain.dates, plain.assets)
+        assert panel.values.tobytes() == plain.values.tobytes()
+
+
 def test_factor_file_with_riskfree_excluded(tmp_path):
     path = write_text(tmp_path / "ff.csv", [
         "date,Mkt-RF,SMB,HML,RF",

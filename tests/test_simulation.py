@@ -6,6 +6,7 @@ import os
 import pickle
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -20,9 +21,7 @@ from portrisk.simulation import (
     _block_size,
     _correlated_errors,
     _error_corr,
-    _generate_market,
     _generate_markets,
-    _Market,
     _run_task,
 )
 
@@ -84,7 +83,7 @@ def test_market_keys_do_not_rebuild_the_default_calibration(monkeypatch):
         raise AssertionError("default_calibration() called")
 
     monkeypatch.setattr(pr.simulation, "default_calibration", no_rebuild)
-    market = _Market(cell, 3, 0)
+    [market] = _generate_markets(cell._params, cell.N, cell.T, 3, (0,))
     pr.run_replication(cell, 3, 0, market)
     pr.run_experiment([cell], 2, workers=1, base_seed=3)
 
@@ -475,7 +474,7 @@ def test_lag_truncation_checked_before_any_market_is_simulated(monkeypatch):
     def no_market(*args):
         raise AssertionError("a market was simulated")
 
-    monkeypatch.setattr(pr.simulation, "_generate_market", no_market)
+    monkeypatch.setattr(pr.simulation, "_generate_markets", no_market)
     for L in (6, 7, -1):
         with pytest.raises(pr.DataError, match=f"L={L}, T=6"):
             pr.ExperimentCell(N=300, T=6, c=1.0, L=L)
@@ -506,7 +505,8 @@ def test_run_replication_record_shapes_and_formulas():
     assert rec.true_variance.shape == (8,)
     assert set(rec.per_estimator) == {"sample", "poet"}
     params = pr.default_calibration()
-    instance, panel, _ = _generate_market(params, 15, 50, 31, 0)
+    [market] = _generate_markets(params, 15, 50, 31, (0,))
+    instance, panel = market.instance, market.panel
     est = pr.sample_covariance(panel)
     d = rec.per_estimator["sample"]
     max_err = np.max(np.abs(est.matrix - instance.Sigma_true))
@@ -531,7 +531,8 @@ def test_run_replication_decomposition_identity():
     # squared portfolio returns split exactly into systematic, cross, and
     # idiosyncratic terms when the market's own factor draw is used
     params = pr.default_calibration()
-    instance, panel, fpanel = _generate_market(params, 10, 20, 7, 0)
+    [market] = _generate_markets(params, 10, 20, 7, (0,))
+    instance, panel, fpanel = market.instance, market.panel, market.fpanel
     rng = pr.derive_rng(7, "decompw")
     w = pr.sample_random_portfolio(10, 1.5, rng).weights
     a = panel.values @ w
@@ -552,13 +553,14 @@ def test_run_replication_is_fast_at_benchmark_size():
 
 def test_generate_market_is_deterministic():
     params = pr.default_calibration()
-    key_args = (params, 9, 25, 401, 2)
-    first = _generate_market(*key_args)
-    again = _generate_market(*key_args)
+    key_args = (params, 9, 25, 401, (2,))
+    [first] = _generate_markets(*key_args)
+    [again] = _generate_markets(*key_args)
     assert again is not first
-    for a, b in zip(first[0].__dict__.values(), again[0].__dict__.values()):
+    assert again.key == first.key == (params.fingerprint(), 9, 25, 401, 2)
+    for a, b in zip(first.instance.__dict__.values(), again.instance.__dict__.values()):
         assert np.array_equal(a, b)
-    for a, b in zip(first[1:], again[1:]):
+    for a, b in ((first.panel, again.panel), (first.fpanel, again.fpanel)):
         assert np.array_equal(a.values, b.values) and a.dates == b.dates
 
 
@@ -577,7 +579,7 @@ def test_block_error_product_and_true_variance_equal_the_dense_formulas(structur
     params = dataclasses.replace(pr.default_calibration(), **changes)
     cell = pr.ExperimentCell(N=N, T=60, c=1.6, portfolios_per_rep=40,
                              estimators=("sample",), calibration=params)
-    market = _Market(cell, seed, 0)
+    [market] = _generate_markets(cell._params, N, 60, seed, (0,))
     Sigma_u = market.instance.Sigma_u
     # replay the market's model stream: loadings, error covariance, factor
     # innovations, errors
@@ -672,13 +674,14 @@ def test_market_block_equals_single_replication_markets():
     params = pr.default_calibration()
     block = list(_generate_markets(params, 11, 30, 29, range(2, 7)))
     assert len(block) == 5
-    for rep, (instance, panel, fpanel) in zip(range(2, 7), block):
-        want = _generate_market(params, 11, 30, 29, rep)
-        for name, arr in instance.__dict__.items():
-            assert arr.tobytes() == getattr(want[0], name).tobytes(), (rep, name)
-        assert panel.values.tobytes() == want[1].values.tobytes()
-        assert fpanel.values.tobytes() == want[2].values.tobytes()
-        assert (panel.dates, panel.assets) == (want[1].dates, want[1].assets)
+    for rep, market in zip(range(2, 7), block):
+        [want] = _generate_markets(params, 11, 30, 29, (rep,))
+        assert market.key == want.key
+        for name, arr in market.instance.__dict__.items():
+            assert arr.tobytes() == getattr(want.instance, name).tobytes(), (rep, name)
+        assert market.panel.values.tobytes() == want.panel.values.tobytes()
+        assert market.fpanel.values.tobytes() == want.fpanel.values.tobytes()
+        assert (market.panel.dates, market.panel.assets) == (want.panel.dates, want.panel.assets)
 
 
 def test_block_task_equals_replications_run_alone():
@@ -697,12 +700,32 @@ def test_block_task_equals_replications_run_alone():
                     (ci, rep, name, field)
 
 
+def test_block_task_frees_each_market_before_the_next_is_used(monkeypatch):
+    # a market and its estimates are dropped once its cells have run; a
+    # reference kept across the loop (zip's reused result tuple, for one)
+    # would hold them while the next market is drawn
+    generate, drawn = sim._generate_markets, []
+
+    def watched(*args):
+        for market in generate(*args):
+            assert all(ref() is None for ref in drawn), "an earlier market is still alive"
+            drawn.append(weakref.ref(market))
+            yield market
+
+    monkeypatch.setattr(sim, "_generate_markets", watched)
+    grid = (pr.ExperimentCell(N=9, T=30, c=1.0, portfolios_per_rep=4, estimators=("sample",)),)
+    assert len(_run_task(grid, ((0,),), 37, (0, range(3)))) == 3
+    assert len(drawn) == 3
+
+
 def test_run_replication_rejects_another_market():
     cell = pr.ExperimentCell(N=8, T=30, c=1.0, portfolios_per_rep=3)
-    market = _Market(cell, 5, 0)
+    [market] = _generate_markets(cell._params, cell.N, cell.T, 5, (0,))
     pr.run_replication(cell, 5, 0, market)
+    recalibrated = dataclasses.replace(
+        cell, calibration=dataclasses.replace(pr.default_calibration(), corr_sd=0.3))
     for other, seed, rep in ((dataclasses.replace(cell, N=9), 5, 0), (cell, 6, 0),
-                             (cell, 5, 1)):
+                             (cell, 5, 1), (recalibrated, 5, 0)):
         with pytest.raises(pr.DataError, match="market"):
             pr.run_replication(other, seed, rep, market)
 
@@ -830,7 +853,7 @@ def test_replication_holds_at_most_two_n_by_n_arrays_above_its_market():
     square = 8 * N * N
     tracemalloc.start()
     try:
-        market = _Market(cell, 13, 0)
+        [market] = _generate_markets(cell._params, N, T, 13, (0,))
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         pr.run_replication(cell, 13, 0, market)
