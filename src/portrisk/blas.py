@@ -8,6 +8,14 @@ floating-point result.  `single_thread` sets the library to one thread
 for the length of a block and then restores the caller's count;
 `pin_single_thread` sets it for good, for worker processes.
 
+The command line goes further: imported before numpy, `portrisk.cli`
+sets OPENBLAS_NUM_THREADS=1, so OpenBLAS loads with one thread and
+starts no helper thread, and its pool workers inherit the setting.
+Setting the count here does not stop helper threads that OpenBLAS
+started at load from spin-waiting, so these functions are for the
+processes that loaded numpy first: library callers and in-process
+callers of `cli.main`.
+
 The thread control is looked up with ctypes in the OpenBLAS that ships
 inside numpy's own install (`numpy.libs/*openblas*`).  Where none of the
 known entry points is found (numpy built against another BLAS, or a

@@ -23,6 +23,16 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+# Each subcommand does its BLAS work on one thread (portrisk.blas) or has
+# none worth threading, yet OpenBLAS starts helper threads when numpy
+# loads, and they spin-wait through the import and the run; pinning the
+# count afterwards does not stop them.  Where this module is the first to
+# load numpy (the console script, python -m portrisk.cli), OpenBLAS starts
+# with one thread and no helper, and pool workers inherit the setting.  A
+# process that loaded numpy first keeps its own.
+if "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from ._version import __version__

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .serialization import read_csv
+from .serialization import _check_distinct, read_csv
 
 __all__ = [
     "ParseConfig",
@@ -80,9 +80,7 @@ class _Panel:
             raise DataError(f"a {self._KIND} panel needs at least two rows")
         if not names:
             raise DataError(f"a {self._KIND} panel needs at least one {self._NOUN}")
-        if len(set(names)) != len(names):
-            repeated = next(name for i, name in enumerate(names) if name in names[:i])
-            raise DataError(f"{self._NOUN} {repeated!r} appears twice in a {self._KIND} panel")
+        _check_distinct(names, self._NOUN, f"a {self._KIND} panel")
         if not np.all(np.isfinite(values)):
             t, j = np.argwhere(~np.isfinite(values))[0]
             raise DataError(
@@ -312,6 +310,8 @@ def load_rate_series(path, column: str, config: ParseConfig | None = None) -> Ra
     dates, names, values = _read_table(path, base)
     if column not in names:
         raise DataError(f"{path}: no column named {column!r}")
+    if names.count(column) > 1:
+        raise DataError(f"{path}: column {column!r} appears twice")
     return RateSeries(dates, values[:, names.index(column)])
 
 

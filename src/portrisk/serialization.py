@@ -107,6 +107,13 @@ def _matrix_and_names(estimate_or_matrix, assets):
     return matrix, assets
 
 
+def _check_distinct(names, noun, where):
+    """Raise DataError naming the first label that appears twice."""
+    if len(set(names)) != len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise DataError(f"{noun} {repeated!r} appears twice in {where}")
+
+
 def write_covariance_csv(path, estimate_or_matrix, assets=None, header_lines=()):
     matrix, names = _matrix_and_names(estimate_or_matrix, assets)
     write_csv(path, header_lines, ("asset",) + names,
@@ -119,6 +126,7 @@ def read_covariance_csv(path):
     if not rows:
         raise DataError(f"{path}: no data rows")
     names = tuple(rows[0][1:])
+    _check_distinct(names, "asset", path)
     n = len(names)
     if len(rows) - 1 != n:
         raise DataError(f"{path}: header names {n} assets but file has {len(rows) - 1} rows")
@@ -184,6 +192,7 @@ def read_portfolio_csv(path):
             weights.append(float(row[1]))
         except ValueError:
             raise DataError(f"{path}: row {i + 1}: bad weight {row[1]!r}") from None
+    _check_distinct(names, "asset", path)
     return np.asarray(weights), tuple(names)
 
 

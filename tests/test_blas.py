@@ -121,17 +121,58 @@ replications = 2
 """
 
 
-def _run_cli(commands, cwd, blas_env):
-    """Run main on each argument list, in order, in one fresh interpreter."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def _fresh_interpreter(script, cwd=None, env=None):
+    """Run the script in a fresh interpreter that imports this tree's portrisk."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | (env or {})
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(pr.__file__))
-    if blas_env is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_env
-    script = ("from portrisk.cli import main\n"
-              f"for argv in {commands!r}:\n    assert main(argv) == 0, argv")
     proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
                           capture_output=True, encoding="utf-8", timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# the console script imports the CLI first, so OpenBLAS loads with one
+# thread; a caller that loaded numpy first runs main on its own count
+_LEGS = {
+    "cli first": "from portrisk.cli import main\n"
+                 "from portrisk import blas\n"
+                 "assert blas.blas_threads() == 1\n",
+    "numpy first": "import numpy\n"
+                   "from portrisk import blas\n"
+                   "blas._controls()[0](2)\n"
+                   "assert blas.blas_threads() == 2\n"
+                   "from portrisk.cli import main\n",
+}
+
+
+def _run_cli(commands, cwd, leg):
+    """Run main on each argument list, in order, in one fresh interpreter."""
+    _fresh_interpreter(_LEGS[leg] + f"for argv in {commands!r}:\n"
+                                    "    assert main(argv) == 0, argv", cwd)
+
+
+@needs_control
+def test_cli_loads_openblas_with_one_thread_and_no_helper():
+    # whatever OPENBLAS_NUM_THREADS asks for; a second entry in
+    # /proc/self/task would be an OpenBLAS helper thread
+    _fresh_interpreter(
+        "import os\n"
+        "import portrisk.cli\n"
+        "from portrisk import blas\n"
+        "assert blas.blas_threads() == 1, blas.blas_threads()\n"
+        "if os.path.isdir('/proc/self/task'):\n"
+        "    assert len(os.listdir('/proc/self/task')) == 1, os.listdir('/proc/self/task')\n",
+        env={"OPENBLAS_NUM_THREADS": "4"})
+
+
+@pytest.mark.parametrize("blas_env", [None, "4"])
+def test_cli_imported_after_numpy_leaves_the_environment_alone(blas_env):
+    _fresh_interpreter(
+        "import os\n"
+        "import numpy\n"
+        "before = dict(os.environ)\n"
+        "import portrisk.cli\n"
+        "assert dict(os.environ) == before\n",
+        env={} if blas_env is None else {"OPENBLAS_NUM_THREADS": blas_env})
 
 
 @needs_control
@@ -144,15 +185,15 @@ def test_outputs_do_not_depend_on_the_blas_thread_setting(tmp_path):
     names = ("experiment_cells.csv", "experiment_figures.csv",
              "backtest_records.csv", "backtest_summary.csv")
     outputs = {}
-    for blas_env in (None, "1"):
-        out = tmp_path / f"out-{blas_env}"
+    for leg in _LEGS:
+        out = tmp_path / leg.replace(" ", "-")
         _run_cli([["--output-dir", str(out), "--threads", "1", "simulate",
                    "--config", "grid.cfg"],
                   ["--output-dir", str(out), "empirical", "--returns", "returns.csv",
                    "--factors", "factors.csv", "--estimation-window", "100",
-                   "--holding-window", "20"]], tmp_path, blas_env)
-        outputs[blas_env] = [(out / name).read_bytes() for name in names]
-    assert outputs[None] == outputs["1"]
+                   "--holding-window", "20"]], tmp_path, leg)
+        outputs[leg] = [(out / name).read_bytes() for name in names]
+    assert outputs["cli first"] == outputs["numpy first"]
 
 
 @needs_control
@@ -164,15 +205,14 @@ def test_estimate_and_hclub_outputs_do_not_depend_on_the_blas_thread_setting(tmp
     names = [f"covariance_{name}.csv" for name in estimators]
     names += [f"assessment_{name}.csv" for name in estimators]
     outputs = {}
-    for blas_env in ("1", "2"):
-        out = str(tmp_path / f"out-{blas_env}")
+    for leg in _LEGS:
+        out = tmp_path / leg.replace(" ", "-")
         flags = ["--returns", "returns.csv", "--factors", "factors.csv"]
-        commands = [["--output-dir", out, "estimate", *flags, "--estimator", name]
+        commands = [["--output-dir", str(out), "estimate", *flags, "--estimator", name]
                     for name in estimators]
-        commands += [["--output-dir", out, "hclub", *flags, "--estimator", name,
+        commands += [["--output-dir", str(out), "hclub", *flags, "--estimator", name,
                       "--equal-weight", "--out", f"assessment_{name}.csv"]
                      for name in estimators]
-        _run_cli(commands, tmp_path, blas_env)
-        outputs[blas_env] = [(tmp_path / f"out-{blas_env}" / name).read_bytes()
-                             for name in names]
-    assert outputs["1"] == outputs["2"]
+        _run_cli(commands, tmp_path, leg)
+        outputs[leg] = [(out / name).read_bytes() for name in names]
+    assert outputs["cli first"] == outputs["numpy first"]

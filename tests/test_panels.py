@@ -188,6 +188,16 @@ def test_rate_series_unknown_column(tmp_path):
         pr.load_rate_series(path, "RF")
 
 
+def test_rate_series_repeated_column_error(tmp_path):
+    # 'date,RF,RF' used to load the first RF column, [0.1, 0.2], without a word
+    path = write_text(tmp_path / "rf.csv", ["date,RF,RF", "d1,0.1,0.9", "d2,0.2,0.8"])
+    with pytest.raises(pr.DataError, match=re.escape(f"{path}: column 'RF' appears twice")):
+        pr.load_rate_series(path, "RF")
+    # a repeat among the other columns is not read, so it is no error
+    path = write_text(tmp_path / "other.csv", ["date,RF,x,x", "d1,0.1,0,0", "d2,0.2,0,0"])
+    assert pr.load_rate_series(path, "RF").values.tolist() == [0.1, 0.2]
+
+
 def test_comment_lines_are_skipped(tmp_path):
     path = write_text(tmp_path / "c.csv", [
         "# generated by hand",

@@ -1,6 +1,7 @@
 """Round-trips and byte-level contracts for the file formats."""
 
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -57,6 +58,10 @@ def test_covariance_csv_read_errors(tmp_path):
     path.write_text("asset,x,y\nx,1.0,2.0\ny,2.0,oops\n")
     with pytest.raises(pr.DataError, match="row 2"):
         ser.read_covariance_csv(path)
+    # 'asset,a,a' used to load as names ('a', 'a')
+    path.write_text("asset,a,a\na,1.0,0.5\na,0.5,1.0\n")
+    with pytest.raises(pr.DataError, match=re.escape(f"asset 'a' appears twice in {path}")):
+        ser.read_covariance_csv(path)
     with pytest.raises(pr.DataError, match="square"):
         ser.write_covariance_csv(tmp_path / "c.csv", np.ones((2, 3)))
     with pytest.raises(pr.DataError, match="asset names"):
@@ -109,6 +114,9 @@ def test_portfolio_csv_errors(tmp_path):
         ser.read_portfolio_csv(path)
     path.write_text("foo,bar\nx,0.5\n")
     with pytest.raises(pr.DataError, match="header"):
+        ser.read_portfolio_csv(path)
+    path.write_text("asset,weight\na,0.5\nb,0.25\na,0.25\n")
+    with pytest.raises(pr.DataError, match=re.escape(f"asset 'a' appears twice in {path}")):
         ser.read_portfolio_csv(path)
     with pytest.raises(pr.DataError, match="asset names"):
         ser.write_portfolio_csv(path, np.ones(3), assets=("a", "b"))
