@@ -107,7 +107,7 @@ def _build_parser() -> _Parser:
                         help="base seed for anything random (default 0)")
     parser.add_argument("--threads", type=int, default=None,
                         help="CPUs a simulation uses: one worker process each, "
-                             "every worker on one BLAS thread "
+                             "every worker on one BLAS thread; a positive integer "
                              "(default: PRL_THREADS or usable CPUs, capped at 8)")
     parser.add_argument("--output-dir", default=".", help="directory for output files")
     parser.add_argument("--verbose", action="store_true", help="debug logging")

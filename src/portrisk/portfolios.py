@@ -53,11 +53,14 @@ class Portfolio:
         return self.weights.shape[0]
 
 
-def _exposure_value(c) -> float:
-    """c as a float; anything but a finite number at least 1 is a DataError."""
+def _exposure_value(c, N: int | None = None) -> float:
+    """c as a float; anything but a finite number at least 1 is a DataError,
+    and so is c > 1 for a book drawn on N = 1 asset, which has no short side."""
     value = float(c)
     if not 1.0 <= value < math.inf:
         raise DataError(f"gross exposure must be a finite number at least 1, got c={value}")
+    if N == 1 and value > 1.0:
+        raise DataError(f"one asset cannot hold a short side, so N=1 needs c=1, got c={value}")
     return value
 
 
@@ -95,7 +98,7 @@ def sample_random_weights(N: int, c, rng: np.random.Generator, P: int = 1) -> np
         raise DataError("N must be at least 1")
     if P < 1:
         raise DataError("P must be at least 1")
-    c = _exposure_value(c)
+    c = _exposure_value(c, N)
     p_long = (c + 1.0) / (2.0 * c)
     W = np.empty((N, P))
     raw = np.empty(N)

@@ -584,7 +584,7 @@ class ExperimentCell:
     def __post_init__(self):
         if self.N < 1 or self.T < 2:
             raise DataError(f"cell needs N >= 1 and T >= 2, got N={self.N}, T={self.T}")
-        _exposure_value(self.c)
+        _exposure_value(self.c, self.N)
         if not 0 <= self.L < self.T:
             raise DataError(f"lag truncation must satisfy 0 <= L < T, got L={self.L}, T={self.T}")
         if not 0 < self.tau < 1:
@@ -727,7 +727,8 @@ def run_replication(cell: ExperimentCell, base_seed: int, rep: int,
 
 @dataclass(frozen=True)
 class CellAggregate:
-    """Summary of one (cell, estimator) pair across all replications."""
+    """Summary of one (cell, estimator) pair across all replications: means
+    and sds pooled from per-replication moments in replication order."""
 
     estimator: str
     N: int
@@ -771,26 +772,43 @@ _CELL_STATS = {"delta": "delta", "xi": "xi", "u": "u_variance", "re1": "re1", "r
                "true_risk": None}
 
 
-def _aggregate(cell: ExperimentCell, records: list) -> list:
-    """Each estimator's CellAggregate over records; every mean and sd is
-    taken over the finite values (only RE1 can be NaN, where U is 0)."""
-    out = []
-    true_risk = np.sqrt(np.concatenate([r.true_variance for r in records]))
-    for name in cell.estimators:
-        def stacked(key):
-            return np.concatenate([r.per_estimator[name][key] for r in records])
+def _summarize(record: ReplicationRecord) -> dict:
+    """Estimator name -> (moments, covered count, clamped count) of record;
+    moments is len(_CELL_STATS) x 3: the count, mean (0 if none) and sum of squared
+    deviations of each statistic's finite values (only RE1 can be NaN, where U is 0)."""
+    true_risk = np.sqrt(record.true_variance)
+    # estimators x statistics x portfolios, reduced along the portfolios
+    X = np.array([[true_risk if key is None else d[key] for key in _CELL_STATS.values()]
+                  for d in record.per_estimator.values()])
+    finite = np.isfinite(X)
+    n = finite.sum(axis=2)
+    mean = np.where(finite, X, 0.0).sum(axis=2) / np.maximum(n, 1)
+    dev = np.where(finite, X - mean[..., None], 0.0)
+    moments = np.stack([n, mean, (dev * dev).sum(axis=2)], axis=2)
+    return {name: (m, int(d["covered"].sum()), int(d["clamped"].sum()))
+            for (name, d), m in zip(record.per_estimator.items(), moments)}
 
-        stats = {}
-        for x, key in _CELL_STATS.items():
-            values = true_risk if key is None else stacked(key)
-            values = values[np.isfinite(values)]
-            stats[f"mean_{x}"] = float(values.mean()) if values.size else float("nan")
-            stats[f"sd_{x}"] = float(np.std(values, ddof=1)) if values.size > 1 else float("nan")
+
+def _aggregate(cell: ExperimentCell, summaries: list) -> list:
+    """Each estimator's CellAggregate over its replications' _summarize results
+    in replication order: mean = sum(n m) / sum(n), NaN where n = 0, and sd =
+    sqrt(M2 / (n - 1)), NaN where n <= 1, with M2 = sum(M2) + sum(n (m - mean)^2)."""
+    out = []
+    n_records = len(summaries) * cell.portfolios_per_rep
+    for name in cell.estimators:
+        n, m, m2 = np.stack([s[name][0] for s in summaries]).transpose(2, 0, 1)
+        count = n.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = (n * m).sum(axis=0) / count
+            m2 = m2.sum(axis=0) + (n * (m - mean) ** 2).sum(axis=0)
+            sd = np.where(count > 1, np.sqrt(m2 / (count - 1)), np.nan)
+        stats = {f"{kind}_{x}": float(v) for kind, values in (("mean", mean), ("sd", sd))
+                 for x, v in zip(_CELL_STATS, values)}
         out.append(CellAggregate(
             estimator=name, N=cell.N, T=cell.T, c=cell.c, L=cell.L, tau=cell.tau,
-            replications=len(records), n_records=true_risk.size,
-            coverage=float(stacked("covered").mean()),
-            clamped_count=int(stacked("clamped").sum()), **stats))
+            replications=len(summaries), n_records=n_records,
+            coverage=sum(s[name][1] for s in summaries) / n_records,
+            clamped_count=sum(s[name][2] for s in summaries), **stats))
     return out
 
 
@@ -832,7 +850,8 @@ def _run_task(grid: tuple, markets: tuple, base_seed: int, task: tuple) -> list:
     """Run every cell of one market for a block of replications.
 
     The block's markets are drawn together; each replication then runs
-    its cells before the next one's errors and panels are drawn.
+    its cells before the next one's errors and panels are drawn.  Each
+    record is reduced to its _summarize result as soon as it is made.
     """
     market_index, reps = task
     cells = markets[market_index]
@@ -842,7 +861,7 @@ def _run_task(grid: tuple, markets: tuple, base_seed: int, task: tuple) -> list:
     # market and its estimates alive while the next one is drawn
     for market in _generate_markets(lead._params, lead.N, lead.T, base_seed, reps):
         rep = market.key[-1]
-        out.extend((ci, rep, run_replication(grid[ci], base_seed, rep, market))
+        out.extend((ci, rep, _summarize(run_replication(grid[ci], base_seed, rep, market)))
                    for ci in cells)
         # free this market and its estimates before the next one is drawn
         del market
@@ -854,12 +873,14 @@ def run_experiment(grid, replications: int, workers: int | None = None,
     """Run every cell for the given number of replications.
 
     Results are deterministic in (grid, replications, base_seed) and do
-    not depend on the worker count: every replication derives its own
-    generators, and aggregation follows grid order, then replication
-    order.  Cells sharing (calibration, N, T) form one market, in order
-    of first appearance in the grid; a task is one market and a block of
-    consecutive replications of it, and simulates each of them once for
-    all of the market's cells.  Each finished task logs one INFO line.
+    not depend on the worker count or the block size: every replication
+    derives its own generators, each record is reduced to per-replication
+    moments where it is made (so no per-portfolio array is held), and
+    _aggregate pools them in grid order, then replication order.  Cells
+    sharing (calibration, N, T) form one market, in order of first
+    appearance in the grid; a task is one market and a block of consecutive
+    replications of it, and simulates each of them once for all of the
+    market's cells.  Each finished task logs one INFO line.
     The run does not warn: each aggregate's clamped_count counts its
     long-run variances clamped at zero, and the command line prints their
     total.  A pool forks all its workers at once, so it gets at most one
@@ -872,7 +893,7 @@ def run_experiment(grid, replications: int, workers: int | None = None,
         raise DataError("experiment grid is empty")
     if replications < 1:
         raise DataError("replications must be at least 1")
-    if workers is None or workers == 0:
+    if workers is None:
         workers = default_workers()
     if workers < 1:
         raise DataError(f"workers must be positive, got {workers}")
@@ -889,36 +910,32 @@ def run_experiment(grid, replications: int, workers: int | None = None,
     # replication-major, so a pool's chunks mix the markets
     tasks.sort(key=lambda task: task[1].start)
 
-    def logged(batches):
+    summaries = [[None] * replications for _ in grid]
+
+    def collect(batches):
         for done, ((mi, reps), batch) in enumerate(zip(tasks, batches), start=1):
             lead = grid[markets[mi][0]]
             log.info("market %d/%d (N=%d, T=%d): replications %d-%d finished; %d/%d tasks done",
                      mi + 1, len(markets), lead.N, lead.T, reps.start, reps.stop - 1,
                      done, len(tasks))
-            yield batch
+            for ci, rep, summary in batch:
+                summaries[ci][rep] = summary
 
     workers = min(workers, len(tasks))
     fn = partial(_run_task, grid, markets, base_seed)
     with single_thread():
         if workers == 1:
-            results = list(logged(map(fn, tasks)))
+            collect(map(fn, tasks))
         else:
             from concurrent.futures import ProcessPoolExecutor
 
             chunk = max(1, len(tasks) // (workers * 4))
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=pin_single_thread) as pool:
-                results = list(logged(pool.map(fn, tasks, chunksize=chunk)))
+                collect(pool.map(fn, tasks, chunksize=chunk))
 
-    by_cell: dict = {ci: {} for ci in range(len(grid))}
-    for batch in results:
-        for cell_index, rep, record in batch:
-            by_cell[cell_index][rep] = record
-
-    aggregates = []
-    for ci, cell in enumerate(grid):
-        ordered = [by_cell[ci][rep] for rep in range(replications)]
-        aggregates.extend(_aggregate(cell, ordered))
+    aggregates = [agg for cell, cell_summaries in zip(grid, summaries)
+                  for agg in _aggregate(cell, cell_summaries)]
     return ExperimentReport(cells=tuple(aggregates), replications=replications,
                             base_seed=int(base_seed))
 

@@ -559,6 +559,38 @@ def test_simulate_invalid_estimator_setting_exits_2_before_any_market(
     assert "bogus" in capsys.readouterr().err
 
 
+def test_simulate_zero_threads_is_a_data_error(tmp_path, capsys, monkeypatch):
+    # --threads 0 used to mean the default worker count; PRL_THREADS=0
+    # and --threads -1 were already data errors
+    def no_market(*args):
+        raise AssertionError("a market was simulated")
+
+    monkeypatch.setattr(pr.simulation, "_generate_markets", no_market)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("Ns = 5\nTs = 20\ncs = 1\nreplications = 1\n")
+    assert main(["--output-dir", str(tmp_path), "--threads", "0",
+                 "simulate", "--config", str(cfg)]) == 2
+    assert "workers must be positive, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "experiment_cells.csv").exists()
+
+
+def test_one_asset_book_with_a_short_side_exits_2_before_any_draw(
+        tmp_path, capsys, monkeypatch):
+    def no_market(*args):
+        raise AssertionError("a market was simulated")
+
+    monkeypatch.setattr(pr.simulation, "_generate_markets", no_market)
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("Ns = 1\nTs = 10\ncs = 1.5\nestimators = sample\n")
+    assert main(["--output-dir", str(tmp_path), "--threads", "1",
+                 "simulate", "--config", str(cfg)]) == 2
+    assert "one asset cannot hold a short side" in capsys.readouterr().err
+    assert main(["--output-dir", str(tmp_path), "sample-portfolios",
+                 "--n-assets", "1", "--exposure", "1.5"]) == 2
+    assert "one asset cannot hold a short side" in capsys.readouterr().err
+    assert not (tmp_path / "portfolios.csv").exists()
+
+
 def test_flag_free_empirical_runs_the_default_study(panel_files, tmp_path, monkeypatch):
     _, _, rpath, fpath = panel_files
     seen = []

@@ -175,6 +175,19 @@ def test_batched_sampler_validation():
         pr.sample_random_weights(5, 0.8, rng, 3)
 
 
+def test_sampler_rejects_a_short_side_on_one_asset_before_any_draw():
+    # it used to make 100 binomial draws before it gave up on populating
+    # both sides
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"the generator's {name} was used")
+
+    for draw in (lambda: pr.sample_random_weights(1, 1.5, NoDraws(), 3),
+                 lambda: pr.sample_random_portfolio(1, 1.0 + 1e-12, NoDraws())):
+        with pytest.raises(pr.DataError, match="one asset cannot hold a short side"):
+            draw()
+
+
 @pytest.mark.parametrize("c", [float("inf"), float("nan"), 0.8])
 def test_sampler_rejects_exposure_outside_finite_range(c):
     # c=inf used to reach numpy's binomial as p=nan and raise its ValueError

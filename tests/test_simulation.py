@@ -23,6 +23,7 @@ from portrisk.simulation import (
     _error_corr,
     _generate_markets,
     _run_task,
+    _summarize,
 )
 
 
@@ -484,6 +485,21 @@ def test_lag_truncation_checked_before_any_market_is_simulated(monkeypatch):
     assert pr.ExperimentCell(N=300, T=6, c=1.0, L=0).L == 0
 
 
+def test_one_asset_book_with_a_short_side_fails_before_any_market(monkeypatch):
+    # it used to fail only after a market was simulated, when the sampler
+    # gave up on populating both sides after 100 draws
+    def no_market(*args):
+        raise AssertionError("a market was simulated")
+
+    monkeypatch.setattr(pr.simulation, "_generate_markets", no_market)
+    with pytest.raises(pr.DataError, match="one asset cannot hold a short side"):
+        pr.ExperimentCell(N=1, T=10, c=1.5, estimators=("sample",))
+    with pytest.raises(pr.DataError, match="one asset cannot hold a short side"):
+        pr.parse_grid_config("Ns = 1, 5\nTs = 10\ncs = 1, 1.5\nestimators = sample\n")
+    assert pr.ExperimentCell(N=1, T=10, c=1.0, estimators=("sample",)).c == 1.0
+    assert pr.ExperimentCell(N=2, T=10, c=1.5, estimators=("sample",)).c == 1.5
+
+
 def test_run_replication_deterministic():
     cell = pr.ExperimentCell(N=12, T=40, c=1.5, portfolios_per_rep=6)
     a = pr.run_replication(cell, 99, 3)
@@ -650,6 +666,16 @@ def test_max_abs_deviation_equals_the_dense_maximum(N):
         assert inst.max_abs_deviation(M) == np.max(np.abs(M - Sigma_true))
 
 
+def _assert_summary_of_alone(summary, cell, base_seed, rep):
+    # a task's summary holds the bits of the record run_replication gives
+    # for the cell and replication on their own
+    alone = _summarize(pr.run_replication(cell, base_seed, rep))
+    assert list(summary) == list(alone) == list(cell.estimators)
+    for name, (moments, covered, clamped) in summary.items():
+        assert moments.tobytes() == alone[name][0].tobytes(), (cell, rep, name)
+        assert (covered, clamped) == alone[name][1:], (cell, rep, name)
+
+
 def test_cell_in_market_group_equals_cell_alone():
     # a market shared by cells with different exposures and estimator
     # settings gives each cell the bits it gets when run on its own
@@ -660,14 +686,8 @@ def test_cell_in_market_group_equals_cell_alone():
             pr.ExperimentCell(c=1.7, estimators=("sample", "poet"), L=3, **base))
     grouped = _run_task(grid, ((0, 1, 2),), 23, (0, range(4, 5)))
     assert [ci for ci, _, _ in grouped] == [0, 1, 2]
-    for ci, rep, rec in grouped:
-        alone = pr.run_replication(grid[ci], 23, rep)
-        assert np.array_equal(rec.true_variance, alone.true_variance)
-        assert list(rec.per_estimator) == list(alone.per_estimator)
-        for name, fields in rec.per_estimator.items():
-            for field, arr in fields.items():
-                assert np.array_equal(arr, alone.per_estimator[name][field],
-                                      equal_nan=True), (ci, name, field)
+    for ci, rep, summary in grouped:
+        _assert_summary_of_alone(summary, grid[ci], 23, rep)
 
 
 def test_market_block_equals_single_replication_markets():
@@ -691,13 +711,8 @@ def test_block_task_equals_replications_run_alone():
     got = _run_task(grid, ((0, 1),), 37, (0, range(3, 6)))
     assert [(ci, rep) for ci, rep, _ in got] == [(ci, rep) for rep in range(3, 6)
                                                  for ci in (0, 1)]
-    for ci, rep, rec in got:
-        alone = pr.run_replication(grid[ci], 37, rep)
-        assert rec.true_variance.tobytes() == alone.true_variance.tobytes()
-        for name, fields in rec.per_estimator.items():
-            for field, arr in fields.items():
-                assert arr.tobytes() == alone.per_estimator[name][field].tobytes(), \
-                    (ci, rep, name, field)
+    for ci, rep, summary in got:
+        _assert_summary_of_alone(summary, grid[ci], 37, rep)
 
 
 def test_block_task_frees_each_market_before_the_next_is_used(monkeypatch):
@@ -944,6 +959,84 @@ def test_run_experiment_validation():
         pr.run_experiment([cell], 0, workers=1)
     with pytest.raises(pr.DataError):
         pr.run_experiment([cell], 5, workers=-2)
+
+
+def test_run_experiment_zero_workers_is_a_data_error(monkeypatch):
+    # 0 used to mean the default worker count, where PRL_THREADS=0 is an error
+    def no_market(*args):
+        raise AssertionError("a market was simulated")
+
+    monkeypatch.setattr(pr.simulation, "_generate_markets", no_market)
+    cell = pr.ExperimentCell(N=5, T=20, c=1.0, estimators=("sample",))
+    with pytest.raises(pr.DataError, match="workers must be positive, got 0"):
+        pr.run_experiment([cell], 5, workers=0)
+
+
+def _pooled_against_records(cell, replications, base_seed):
+    # each aggregate's means and sds against np.mean / np.std(ddof=1) of
+    # the finite values of the concatenated records
+    report = pr.run_experiment([cell], replications, workers=1, base_seed=base_seed)
+    records = [pr.run_replication(cell, base_seed, rep) for rep in range(replications)]
+    risk = np.sqrt(np.concatenate([r.true_variance for r in records]))
+    for agg in report.cells:
+        def stacked(key):
+            return np.concatenate([r.per_estimator[agg.estimator][key] for r in records])
+
+        for x, key in sim._CELL_STATS.items():
+            values = risk if key is None else stacked(key)
+            values = values[np.isfinite(values)]
+            for got, want in ((getattr(agg, f"mean_{x}"), np.mean(values)),
+                              (getattr(agg, f"sd_{x}"), np.std(values, ddof=1)
+                               if values.size > 1 else np.nan)):
+                if np.isnan(want):
+                    assert np.isnan(got), (agg.estimator, x)
+                else:
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), (agg.estimator, x)
+        assert agg.coverage == stacked("covered").mean()
+        assert agg.clamped_count == int(stacked("clamped").sum())
+        assert agg.n_records == risk.size
+    return report, records
+
+
+def test_pooled_moments_equal_those_of_the_concatenated_records():
+    # the cell of test_run_replication_summarizes_clamped_portfolios: its
+    # clamped portfolios have U = 0, so RE1 is NaN there and each
+    # replication counts fewer RE1 values than portfolios
+    cell = pr.ExperimentCell(N=6, T=24, c=1.5, portfolios_per_rep=30, L=8,
+                             estimators=("sample", "factor", "poet"), poet_K=2)
+    report, records = _pooled_against_records(cell, 4, 11)
+    assert sum(agg.clamped_count for agg in report.cells) > 0
+    assert any(np.isnan(r.per_estimator[name]["re1"]).any()
+               for r in records for name in cell.estimators)
+
+
+def test_one_portfolio_in_one_replication_has_means_and_no_sds():
+    cell = pr.ExperimentCell(N=6, T=24, c=1.5, portfolios_per_rep=1,
+                             estimators=("sample", "poet"), poet_K=2)
+    report, _ = _pooled_against_records(cell, 1, 5)
+    for agg in report.cells:
+        assert np.isfinite(agg.mean_delta) and agg.n_records == 1
+        assert all(np.isnan(getattr(agg, f"sd_{x}")) for x in sim._CELL_STATS)
+
+
+def test_run_experiment_holds_one_summary_per_replication(monkeypatch):
+    # one-replication blocks, so each task's summaries reach the parent at
+    # once; before, the parent held every portfolio's figures until it
+    # aggregated them, 13.8 KB per replication here
+    monkeypatch.setattr(sim, "_BLOCK_BUDGET", 0)
+    cell = pr.ExperimentCell(N=20, T=60, c=1.5, portfolios_per_rep=50)
+
+    def peak(replications):
+        tracemalloc.start()
+        try:
+            pr.run_experiment([cell], replications, workers=1, base_seed=7)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)
+    per_replication = (peak(80) - peak(20)) / 60
+    assert per_replication < 4096, per_replication
 
 
 def test_by_estimator_filter():
