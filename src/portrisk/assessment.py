@@ -331,16 +331,16 @@ class EstimatorSpec:
                 raise DataError("the factor estimator needs an observed-factor panel")
             fit = estimators.ols_factor_fit(returns, factors)
             C = self.C_DEFAULTS["factor"] * factors.K if self.C is None else self.C
-            est = estimators.factor_covariance(fit, ThresholdRule(self.rule), C)
         else:
+            self.check_fits(returns.N, returns.T)
             K = self.K
             if K is None:
                 K = estimators.select_num_factors(
                     returns, min(self.k_max, min(returns.N, returns.T) - 1), demean=self.demean)
                 log.info("information criterion selected K=%d", K)
             fit = estimators.pca_factor_fit(returns, K, demean=self.demean)
-            est = estimators.poet_covariance(returns, K, ThresholdRule(self.rule), self.C,
-                                             demean=self.demean, fit=fit)
+            C = self.C
+        est = estimators.factor_covariance(fit, ThresholdRule(self.rule), C)
         if self.ensure_pd:
             # re-thresholding only touches the sparse remainder, so the fit
             # stays consistent with the estimate

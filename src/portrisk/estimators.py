@@ -4,13 +4,13 @@ Three estimators are provided:
 
 * the plain sample covariance ``S = T^-1 sum_t r_t r_t'`` (optionally on
   demeaned rows),
-* a factor-model estimator for observed factors: fit loadings by least
-  squares, keep the systematic part ``B cov(f) B'`` exactly, and apply an
-  adaptive entrywise threshold to the off-diagonals of the residual
-  covariance,
-* a principal-orthogonal-complement (POET) estimator for latent factors:
-  keep the leading K eigencomponents of S and threshold the off-diagonals
-  of what remains.
+* a factor-model estimator: keep the systematic part ``B cov(f) B'``
+  of a fitted factor model exactly and apply an adaptive entrywise
+  threshold to the off-diagonals of its residual covariance; the factors
+  are observed (least squares) or latent,
+* POET for latent factors: the factor-model estimate of the K-factor
+  principal-components fit, whose residual covariance is the principal
+  orthogonal complement of S.
 
 All estimators demean by default; the flag exists so exact-theory tests
 can work with raw second moments.  Thresholding never touches diagonals.
@@ -104,10 +104,10 @@ class CovarianceEstimate:
     _min_eigenvalue_above, which decides positive definiteness without
     eigenvalues, and the weights of _gmv_weights.  Construction
     symmetrizes the matrix after checking that any asymmetry is at the
-    floating-point noise level.  sample_covariance and poet_covariance
-    pass _symmetric=True and skip both: their matrices are X'X products,
-    which numpy computes exactly symmetric (syrk), and entrywise maps of
-    them, so (m + m')/2 would return m bit for bit.
+    floating-point noise level.  The package's estimators pass
+    _symmetric=True and skip both: their matrices are X'X products, which
+    numpy computes exactly symmetric (syrk), sums of them and entrywise
+    maps of them, so (m + m')/2 would return m bit for bit.
     """
 
     matrix: np.ndarray
@@ -267,23 +267,30 @@ def ols_factor_fit(returns: ReturnsPanel, factors: FactorPanel) -> FactorModelFi
 def factor_covariance(fit: FactorModelFit, rule: ThresholdRule, C: float) -> CovarianceEstimate:
     """Systematic part plus adaptively thresholded residual covariance.
 
-    The residual covariance S_u = T^-1 sum_t u_t u_t' keeps its diagonal
+    The one builder of a factor-model estimate, for observed and PCA fits
+    alike.  The systematic part is A A' with A = B chol(cov(f)), which is
+    B B' for a PCA fit (its factor covariance is the identity).  The
+    residual covariance S_u = T^-1 sum_t u_t u_t' keeps its diagonal
     exactly; off-diagonal entries pass through the rule at the adaptive
-    cut-off C * sqrt(S_u,ii * S_u,jj) * sqrt(log N / T), which equals
-    thresholding the residual correlation matrix at C * sqrt(log N / T).
+    cut-off C * sqrt(S_u,ii * S_u,jj) * rate, which equals thresholding
+    the residual correlation matrix at C * rate.  The rate is
+    sqrt(log N / T), plus 1/sqrt(N) for a PCA fit (POET), and the
+    estimate's kind is factor or poet after the fit's source.  A residual
+    variance that is not positive raises NumericalError naming the asset.
     """
-    if fit.source != "observed":
-        raise DataError("factor_covariance needs an observed-factor fit")
     if C < 0:
         raise DataError("threshold constant C must be nonnegative")
     T, N = fit.residuals.shape
+    A = fit.loadings @ np.linalg.cholesky(fit.factor_cov)
     S_u = fit.residuals.T @ fit.residuals / T
     d = np.diag(S_u)
     if np.any(d <= 0):
         i = int(np.argmin(d))
         raise NumericalError(f"non-positive residual variance for asset index {i}")
-    return _thresholded("factor", fit.loadings @ fit.factor_cov @ fit.loadings.T, S_u, d,
-                        math.sqrt(math.log(N) / T), fit.K, rule, C)
+    rate = math.sqrt(math.log(N) / T)
+    if fit.source == "observed":
+        return _thresholded("factor", A @ A.T, S_u, d, rate, fit.K, rule, C)
+    return _thresholded("poet", A @ A.T, S_u, d, rate + 1.0 / math.sqrt(N), fit.K, rule, C)
 
 
 def _thresholded(kind, lowrank, remainder, d, rate, K, rule, C) -> CovarianceEstimate:
@@ -299,9 +306,8 @@ def _thresholded(kind, lowrank, remainder, d, rate, K, rule, C) -> CovarianceEst
     collection.
     """
     matrix = lowrank + _threshold_offdiag(remainder, C * np.sqrt(np.outer(d, d)) * rate, rule)
-    # a poet matrix is exactly symmetric, as CovarianceEstimate explains
-    est = CovarianceEstimate(matrix, kind, {"C": C, "rule": rule.kind, "K": K},
-                             _symmetric=kind == "poet")
+    # exactly symmetric, as CovarianceEstimate explains
+    est = CovarianceEstimate(matrix, kind, {"C": C, "rule": rule.kind, "K": K}, _symmetric=True)
     est._rebuild = partial(_thresholded, kind, lowrank, remainder, d, rate, K, rule)
     return est
 
@@ -324,23 +330,21 @@ def _pca_components(X: np.ndarray, K: int):
     """Top-K principal components of the second-moment matrix X'X / T.
 
     Returns (loadings, factors) normalized so that (1/T) F'F = I_K and
-    loadings'loadings = diag of the leading eigenvalues.  Works on the
-    smaller of the N x N and T x T Gram matrices.
+    loadings'loadings = diag of the leading eigenvalues.  The factors come
+    from the smaller of the N x N and T x T Gram matrices, and the loadings
+    are the least-squares coefficients X'F / T of the columns of X on them,
+    so an all-zero column gets zero loadings and zero residuals exactly.
     """
     T, N = X.shape
     if N <= T:
         evals, evecs = np.linalg.eigh(X.T @ X)
         d = evals[::-1][:K]
-        xi = evecs[:, ::-1][:, :K]
         tol = max(float(d[0]), 0.0) * 1e-14
-        safe = np.where(d > tol, d, np.inf)
-        loadings = xi * np.sqrt(np.clip(d, 0.0, None) / T)
-        factors = X @ (xi * np.sqrt(T / safe))
+        factors = X @ (evecs[:, ::-1][:, :K] * np.sqrt(T / np.where(d > tol, d, np.inf)))
     else:
         evals, evecs = np.linalg.eigh(X @ X.T)
-        v = evecs[:, ::-1][:, :K]
-        factors = math.sqrt(T) * v
-        loadings = X.T @ v / math.sqrt(T)
+        factors = math.sqrt(T) * evecs[:, ::-1][:, :K]
+    loadings = X.T @ factors / T
     _fix_signs(loadings, factors)
     return loadings, factors
 
@@ -367,43 +371,24 @@ def pca_factor_fit(returns: ReturnsPanel, K: int, demean: bool = True) -> Factor
     )
 
 
-def poet_covariance(
-    returns: ReturnsPanel,
-    K: int,
-    rule: ThresholdRule,
-    C: float,
-    demean: bool = True,
-    fit: FactorModelFit | None = None,
-) -> CovarianceEstimate:
-    """Principal orthogonal complements with thresholding.
+def poet_covariance(returns: ReturnsPanel, K: int, rule: ThresholdRule, C: float,
+                    demean: bool = True) -> CovarianceEstimate:
+    """Principal orthogonal complements with thresholding: the factor-model
+    estimate (factor_covariance) of the K-factor PCA fit.
 
-    Keep the K leading eigencomponents of the sample covariance; the
-    orthogonal complement keeps its diagonal and has off-diagonals passed
-    through the rule at C * sqrt(Omega_ii * Omega_jj) * (sqrt(log N / T)
-    + 1/sqrt(N)).  With C=0 the estimator reproduces S exactly.
-
-    Pass fit to reuse a PCA decomposition already extracted from the same
-    panel with the same K and demeaning; anything else silently corrupts
-    the estimate, so the shapes and source are checked.
+    The low-rank part B B' holds the K leading eigencomponents of the
+    sample covariance S, and the residual covariance of the fit is the
+    orthogonal complement S - B B'.  It keeps its diagonal and has
+    off-diagonals passed through the rule at C * sqrt(S_u,ii * S_u,jj) *
+    (sqrt(log N / T) + 1/sqrt(N)).  With C=0 the estimator reproduces S up
+    to rounding.
     """
     T, N = returns.T, returns.N
     if not 1 <= K < min(N, T):
         raise DataError(f"K must be in [1, {min(N, T) - 1}], got {K}")
     if C < 0:
         raise DataError("threshold constant C must be nonnegative")
-    if fit is None:
-        fit = pca_factor_fit(returns, K, demean=demean)
-    elif fit.source != "pca" or fit.K != K or fit.N != N or fit.T != T:
-        raise DataError(
-            "supplied fit does not match the panel: need a PCA fit with "
-            f"K={K}, N={N}, T={T}"
-        )
-    S = sample_covariance(returns, demean).matrix
-    lowrank = fit.loadings @ fit.loadings.T
-    omega = S - lowrank
-    d = np.clip(np.diag(omega), 0.0, None)
-    return _thresholded("poet", lowrank, omega, d,
-                        math.sqrt(math.log(N) / T) + 1.0 / math.sqrt(N), K, rule, C)
+    return factor_covariance(pca_factor_fit(returns, K, demean=demean), rule, C)
 
 
 def select_num_factors(returns: ReturnsPanel, k_max: int, demean: bool = True) -> int:

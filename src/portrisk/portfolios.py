@@ -75,6 +75,17 @@ def _check_periods_per_year(periods_per_year: float) -> None:
                         f"got {periods_per_year}")
 
 
+def _conditioned_long_count(N: int, p: float, u: float) -> int:
+    """The k in 1..N-1 at which the cdf of Binomial(N, p) conditioned on
+    0 < k < N first exceeds u in [0, 1).  The weights C(N, k) p^k (1-p)^(N-k)
+    are formed in log space and scaled by their largest before they are
+    summed, so at large N neither C(N, k) overflows nor a weight underflows."""
+    k = np.arange(1, N)
+    log_w = np.cumsum(np.log((N - k + 1) / k)) + k * math.log(p) + (N - k) * math.log1p(-p)
+    cdf = np.cumsum(np.exp(log_w - log_w.max()))
+    return 1 + min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), N - 2)
+
+
 def sample_random_weights(N: int, c, rng: np.random.Generator, P: int = 1) -> np.ndarray:
     """Draw P representative weight vectors with sum 1 and gross exposure c.
 
@@ -82,8 +93,11 @@ def sample_random_weights(N: int, c, rng: np.random.Generator, P: int = 1) -> np
     positions is binomial with success probability (c+1)/(2c); long
     weights are normalized standard exponentials scaled to sum (c+1)/2,
     short weights likewise scaled to -(c-1)/2, and the combined vector is
-    randomly permuted so every index is equally likely to be long.  Draws
-    leaving one side empty when c > 1 are redrawn, at most 100 times.
+    randomly permuted so every index is equally likely to be long.  When
+    c > 1 a count leaving one side empty is redrawn; after 100 such draws
+    the count comes from the binomial conditioned on 0 < count < N, by
+    inversion at one rng.random(), so no draw fails by chance.  Either
+    way the count follows that conditioned binomial.
 
     Each column consumes the generator in a fixed order (count, long
     exponentials, short exponentials, permutation), so column j equals the
@@ -103,15 +117,12 @@ def sample_random_weights(N: int, c, rng: np.random.Generator, P: int = 1) -> np
     W = np.empty((N, P))
     raw = np.empty(N)
     for j in range(P):
-        k = -1
         for _ in range(100):
             k = int(rng.binomial(N, p_long))
             if c == 1.0 or 0 < k < N:
                 break
         else:
-            raise DataError(
-                f"could not draw a portfolio with both sides populated (N={N}, c={c})"
-            )
+            k = _conditioned_long_count(N, p_long, rng.random())
         # the long and the short exponentials are one contiguous run of
         # the stream, so a single draw splits into both sides
         rng.standard_exponential(out=raw)

@@ -48,6 +48,52 @@ def chi2_critical(quantile: float, dof: int) -> float:
     return float(stats.chi2.ppf(quantile, dof))
 
 
+# ---------------------------------------------------- random-portfolio law
+
+def long_count_pmf(N: int, c: float) -> np.ndarray:
+    """P(K = k) for k = 0..N, K the number of long positions of a random
+    portfolio of N assets at gross exposure c: Binomial(N, (c+1)/(2c)),
+    conditioned on 0 < K < N when c > 1 (both sides populated).  At c = 1
+    every position is long; with c > 1 one asset has no such count, a
+    DataError."""
+    pmf = np.zeros(N + 1)
+    if c == 1.0:
+        pmf[N] = 1.0
+        return pmf
+    if N < 2:
+        raise DataError(f"no long count populates both sides of N={N} asset")
+    p = (c + 1.0) / (2.0 * c)
+    logs = {k: (math.lgamma(N + 1) - math.lgamma(k + 1) - math.lgamma(N - k + 1)
+                + k * math.log(p) + (N - k) * math.log(1.0 - p)) for k in range(1, N)}
+    top = max(logs.values())
+    for k, value in logs.items():
+        pmf[k] = math.exp(value - top)
+    return pmf / pmf.sum()
+
+
+def weight_moments(N: int, c: float):
+    """(a, b) = (E[w_i^2], E[w_i w_j] for i != j) of a random portfolio,
+    N >= 2.  Given K = k longs, each side is its scale s_L = (c+1)/2 or
+    s_S = (c-1)/2 times a flat Dirichlet, whose coordinates have
+    E[x^2] = 2 / (m (m+1)) on m positions, and a position is long with
+    probability k/N; b follows from (sum_i w_i)^2 = 1."""
+    s_long, s_short = (c + 1.0) / 2.0, (c - 1.0) / 2.0
+    a = 0.0
+    for k, prob in enumerate(long_count_pmf(N, c)):
+        long_part = s_long ** 2 / (k + 1) if k > 0 else 0.0
+        short_part = s_short ** 2 / (N - k + 1) if k < N else 0.0
+        a += prob * (2.0 / N) * (long_part + short_part)
+    return a, (1.0 - N * a) / (N * (N - 1))
+
+
+def mean_portfolio_variance(Sigma: np.ndarray, c: float) -> float:
+    """E[w' Sigma w] over random portfolios at gross exposure c:
+    a tr(Sigma) + b (1' Sigma 1 - tr(Sigma))."""
+    a, b = weight_moments(Sigma.shape[0], c)
+    trace = float(np.trace(Sigma))
+    return a * trace + b * (float(Sigma.sum()) - trace)
+
+
 def brute_force_gammas(series, center: float, L: int):
     """Truncated autocovariances of the squared series, by double loop.
 

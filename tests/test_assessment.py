@@ -500,7 +500,7 @@ def _direct_estimate(name, settings, panel, fpanel):
         if settings.get("K", 3) is None:
             K = pr.select_num_factors(panel, min(8, min(panel.N, panel.T) - 1), demean=demean)
         fit = pr.pca_factor_fit(panel, K, demean=demean)
-        est = pr.poet_covariance(panel, K, rule, 0.5, demean=demean, fit=fit)
+        est = pr.poet_covariance(panel, K, rule, 0.5, demean=demean)
         autocov = pr.autocov_poet
     if settings.get("ensure_pd"):
         est = pr.ensure_positive_definite(est)
@@ -562,6 +562,14 @@ def test_estimator_spec_rejects_invalid_settings_up_front():
     pr.EstimatorSpec("factor", K=0)
     with pytest.raises(pr.DataError, match="observed-factor panel"):
         pr.EstimatorSpec("factor").fit(calibrated_market(6, 30, 1)[1])
+
+
+def test_estimator_spec_fit_rejects_a_poet_factor_count_that_cannot_fit():
+    # a PCA fit takes K up to min(N, T), one more than POET allows; at
+    # K = N every residual is rounding noise
+    panel = calibrated_market(12, 30, 1)[1]
+    with pytest.raises(pr.DataError, match=r"poet factor count must be in \[1, 11\] for N=12"):
+        pr.EstimatorSpec("poet", K=12).fit(panel)
 
 
 @pytest.mark.parametrize("name", ["factor", "poet"])

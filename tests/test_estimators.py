@@ -371,16 +371,59 @@ def test_poet_positive_definite_in_wide_panel():
     assert est.min_eigenvalue > 0
 
 
-def test_poet_fit_reuse_is_exact_and_checked():
-    _, panel, _ = calibrated_market(20, 35, 139)
+@pytest.mark.parametrize("N, T", [(25, 60), (80, 40)])
+def test_poet_is_the_factor_estimate_of_its_pca_fit(N, T):
+    _, panel, _ = calibrated_market(N, T, (151, "poetfit"))
+    for K in (1, 3):
+        for kind in ("hard", "soft", "scad"):
+            for demean in (True, False):
+                rule = pr.ThresholdRule(kind)
+                poet = pr.poet_covariance(panel, K, rule, 0.5, demean=demean)
+                fit = pr.pca_factor_fit(panel, K, demean=demean)
+                same = pr.factor_covariance(fit, rule, 0.5)
+                assert poet.kind == same.kind == "poet"
+                assert poet.tuning == same.tuning
+                assert poet.matrix.tobytes() == same.matrix.tobytes()
+
+
+@pytest.mark.parametrize("N, T", [(20, 60), (50, 50), (120, 40)])
+def test_pca_residual_covariance_is_the_principal_orthogonal_complement(N, T):
+    # S - B B', the complement POET thresholds, is the covariance U'U / T
+    # of the PCA residuals, on narrow and wide panels alike
+    _, panel, _ = calibrated_market(N, T, (153, "complement"))
+    for K in (1, 3, 5):
+        for demean in (True, False):
+            fit = pr.pca_factor_fit(panel, K, demean=demean)
+            S = pr.sample_covariance(panel, demean).matrix
+            gap = S - fit.loadings @ fit.loadings.T - fit.residuals.T @ fit.residuals / T
+            assert np.max(np.abs(gap)) <= 1e-13 * np.max(np.abs(S))
+
+
+@pytest.mark.parametrize("N, T", [(30, 60), (90, 40)])
+def test_factor_and_poet_estimates_are_exactly_symmetric(N, T):
+    _, panel, fpanel = calibrated_market(N, T, (155, "symmetric"))
+    fit = pr.ols_factor_fit(panel, fpanel)
+    for kind in ("hard", "soft", "scad"):
+        rule = pr.ThresholdRule(kind)
+        for est in (pr.factor_covariance(fit, rule, 0.3), pr.poet_covariance(panel, 3, rule, 0.5)):
+            for m in (est.matrix, est._rebuild(4.0 * est.tuning["C"]).matrix):
+                assert np.array_equal(m, m.T)
+
+
+@pytest.mark.parametrize("N, T, index", [(20, 60, 0), (20, 60, 7), (60, 30, 7), (60, 30, 59)])
+def test_a_constant_asset_raises_naming_its_index(N, T, index):
+    # the asset's demeaned returns are exact zeros, so its residual
+    # variance is exactly zero under either fit
+    _, panel, fpanel = calibrated_market(N, T, (157, "constant"))
+    values = panel.values.copy()
+    values[:, index] = 0.25
+    flat = pr.ReturnsPanel(panel.dates, panel.assets, values)
     rule = pr.ThresholdRule("soft")
-    fit = pr.pca_factor_fit(panel, 3)
-    direct = pr.poet_covariance(panel, 3, rule, 0.5)
-    reused = pr.poet_covariance(panel, 3, rule, 0.5, fit=fit)
-    assert np.array_equal(direct.matrix, reused.matrix)
-    wrong_k = pr.pca_factor_fit(panel, 2)
-    with pytest.raises(pr.DataError, match="does not match"):
-        pr.poet_covariance(panel, 3, rule, 0.5, fit=wrong_k)
+    for build in (lambda: pr.factor_covariance(pr.ols_factor_fit(flat, fpanel), rule, 0.3),
+                  lambda: pr.poet_covariance(flat, 3, rule, 0.5)):
+        with pytest.raises(pr.NumericalError,
+                           match=f"^non-positive residual variance for asset index {index}$"):
+            build()
 
 
 def test_poet_rejects_bad_K():

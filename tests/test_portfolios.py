@@ -125,14 +125,21 @@ def test_sampler_validation():
         pr.sample_random_portfolio(5, 0.8, rng)
 
 def _reference_portfolio(N, c, rng):
-    """One draw the long way: separate long and short exponential draws."""
+    """One draw the long way: separate long and short exponential draws,
+    and after 100 one-sided counts a count found by scanning the
+    conditioned binomial's cdf up to one uniform draw."""
     p_long = (c + 1.0) / (2.0 * c)
     for _ in range(100):
         k = int(rng.binomial(N, p_long))
         if c == 1.0 or 0 < k < N:
             break
     else:
-        raise pr.DataError("both sides could not be populated")
+        pmf = oracles.long_count_pmf(N, c)
+        u = rng.random()
+        k, cdf = 1, pmf[1]
+        while cdf <= u and k < N - 1:
+            k += 1
+            cdf += pmf[k]
     long_raw = rng.standard_exponential(k)
     longs = (c + 1.0) / 2.0 * long_raw / long_raw.sum() if k else np.empty(0)
     shorts = np.empty(0)
@@ -163,6 +170,110 @@ def test_batched_sampler_equals_sequential_draws(N, c):
     assert np.array_equal(got, want[0]) and np.array_equal(got, want[1])
     # every stream stands at the same state afterwards
     assert len({rng.random() for rng in rngs}) == 1
+
+
+class _Recording:
+    """A generator that records the names of the methods called on it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("N, c", [(2, 1.01), (3, 1.01), (4, 1.002)])
+def test_batched_sampler_equals_sequential_draws_through_the_fallback(N, c):
+    # both sides are populated with probability 0.01-0.03 per binomial
+    # draw, so some of the 25 columns give up on the redraws and take the
+    # conditioned count
+    P = 25
+    rngs = [pr.derive_rng(119, "fallback", N, c) for _ in range(3)]
+    recorded = _Recording(rngs[2])
+    got = pr.sample_random_weights(N, c, recorded, P)
+    assert "random" in recorded.calls
+    want = [np.column_stack([draw() for _ in range(P)]) for draw in (
+        lambda: _reference_portfolio(N, c, rngs[0]),
+        lambda: pr.sample_random_portfolio(N, c, rngs[1]).weights)]
+    assert np.array_equal(got, want[0]) and np.array_equal(got, want[1])
+    assert len({rng.random() for rng in rngs}) == 1
+
+
+def test_sampler_never_fails_by_chance():
+    # N=2, c=1.01: a binomial count has both sides with probability 0.01,
+    # so 100 redraws all fail for 37% of portfolios; 76 of these 200
+    # seeds used to raise
+    for seed in range(200):
+        w = pr.sample_random_weights(2, 1.01, pr.derive_rng(seed, "x"))[:, 0]
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert abs(np.abs(w).sum() - 1.01) <= 1e-12
+
+
+def test_conditioned_long_count_inverts_the_cdf_without_underflow():
+    # each u gets the k with P(K < k) <= u < P(K <= k), up to rounding; at
+    # N=5000, c=3 and k near the mode, C(N, k) overflows and
+    # p^k (1-p)^(N-k) underflows in double precision
+    for N, c in [(3, 1.01), (40, 1.3), (5000, 1.001), (5000, 3.0)]:
+        cdf = np.cumsum(oracles.long_count_pmf(N, c))
+        for u in (0.0, 0.1, 0.5, 0.9, 1.0 - 1e-12):
+            k = pf._conditioned_long_count(N, (c + 1.0) / (2.0 * c), u)
+            assert 1 <= k <= N - 1
+            assert cdf[k - 1] <= u * (1 + 1e-12) and cdf[k] >= u * (1 - 1e-12)
+
+
+def _chi2_against(counts, pmf):
+    """(statistic, degrees of freedom) of observed counts against the pmf,
+    the cells with an expected count below 5 pooled into one."""
+    expected = counts.sum() * pmf
+    big = expected >= 5.0
+    obs, exp = list(counts[big]), list(expected[big])
+    if expected[~big].sum() > 0:
+        obs.append(counts[~big].sum())
+        exp.append(expected[~big].sum())
+    obs, exp = np.array(obs, dtype=float), np.array(exp)
+    return float(((obs - exp) ** 2 / exp).sum()), len(exp) - 1
+
+
+@pytest.mark.parametrize("N, c, n", [(10, 1.0, 2000), (10, 2.0, 20_000), (25, 1.2, 20_000),
+                                     (3, 1.01, 10_000)])
+def test_sampler_long_count_follows_the_conditioned_binomial(N, c, n):
+    # (3, 1.01): both sides only 1.5% of binomial draws, so the redraws
+    # give up on 23% of portfolios and the conditioned count takes over
+    W = pr.sample_random_weights(N, c, pr.derive_rng(121, "pmf", N, c), n)
+    counts = np.bincount((W > 0).sum(axis=0), minlength=N + 1)
+    pmf = oracles.long_count_pmf(N, c)
+    assert counts[pmf == 0.0].sum() == 0
+    chi2, dof = _chi2_against(counts, pmf)
+    if c == 1.0:
+        assert (dof, chi2) == (0, 0.0)  # every position is long
+    else:
+        assert chi2 < oracles.chi2_critical(0.999, dof)
+
+
+def _z(samples, mean):
+    return (samples.mean() - mean) / (samples.std(ddof=1) / np.sqrt(samples.size))
+
+
+@pytest.mark.parametrize("N, c", [(5, 1.0), (5, 1.6), (30, 1.2), (3, 1.01)])
+def test_sampler_second_moments_match_the_closed_form(N, c):
+    # a = E[w_i^2] per index and over all indices, b = E[w_i w_j], each
+    # within 4 standard errors
+    a, b = oracles.weight_moments(N, c)
+    W = pr.sample_random_weights(N, c, pr.derive_rng(123, "moments", N, c), 20_000)
+    for samples, want in ((W[0] ** 2, a), ((W ** 2).mean(axis=0), a), (W[-1] ** 2, a),
+                          (W[0] * W[1], b), (W[1] * W[-1], b)):
+        assert abs(_z(samples, want)) < 4.0
+
+
+@pytest.mark.parametrize("c", [1.0, 1.6])
+def test_mean_true_variance_matches_the_closed_form(c):
+    # on one market, E[w' Sigma w] = a tr(Sigma) + b (1' Sigma 1 - tr(Sigma))
+    # exactly; the mean over 20,000 portfolios sits within 4 standard errors
+    rng = pr.derive_rng(125, "truevar", c)
+    inst = pr.build_model_instance(pr.default_calibration(), 40, rng)
+    variances = inst.true_variances(pr.sample_random_weights(40, c, rng, 20_000))
+    assert abs(_z(variances, oracles.mean_portfolio_variance(inst.Sigma_true, c))) < 4.0
 
 
 def test_batched_sampler_validation():
