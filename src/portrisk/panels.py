@@ -4,20 +4,22 @@ A panel is an immutable wrapper around an ordered list of date labels, a
 list of column names, and a T x N value matrix.  Dates are opaque strings;
 the only structure ever used is their sort order, so ISO-8601 or yyyymmdd
 labels both work.  Values are per-period decimal returns unless a file is
-loaded with ``percent_units=True``, in which case they are divided by 100
-at parse time.  Missing or non-numeric cells are hard errors: the theory
-downstream assumes a complete panel, so nothing is imputed.
+loaded with ``percent_units=True``, in which case they are multiplied by
+0.01 at parse time.  Files are read by serialization.read_table, the one
+reader of labeled numeric tables; this module adds the panel's checks
+(nonblank, strictly increasing dates, distinct names, finite values).
+Missing or non-numeric cells are hard errors naming their row and column:
+the theory downstream assumes a complete panel, so nothing is imputed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .serialization import _check_distinct, read_csv
+from .serialization import _check_distinct, read_table
 
 __all__ = [
     "ParseConfig",
@@ -38,7 +40,7 @@ class ParseConfig:
     """Options for the CSV loaders.
 
     delimiter: field separator, default comma.
-    percent_units: divide all values by 100 (Ken-French style files).
+    percent_units: multiply all values by 0.01 (Ken-French style files).
     riskfree_column: column dropped from factor files (load it separately
         with load_rate_series when excess returns are needed).
     excluded_columns: further columns to drop by name.
@@ -115,10 +117,16 @@ class ReturnsPanel(_Panel):
 
     @property
     def demeaned_values(self) -> np.ndarray:
-        """Column-demeaned copy of the values, computed once and cached."""
+        """Column-demeaned copy of the values, computed once and cached.
+
+        A column whose values are all equal demeans to exact zeros: its
+        computed mean can miss the value by a rounding, which would leave
+        it a variance of ~1e-31 instead of the zero the estimators reject.
+        """
         cached = getattr(self, "_demeaned", None)
         if cached is None:
             cached = self.values - self.values.mean(axis=0)
+            cached[:, self.values.min(axis=0) == self.values.max(axis=0)] = 0.0
             cached.setflags(write=False)
             object.__setattr__(self, "_demeaned", cached)
         return cached
@@ -159,128 +167,25 @@ class RateSeries:
 
 
 def _read_table(path, config: ParseConfig):
-    """Parse a delimited file into (dates, names, T x N floats).
-
-    A plain file (see _read_plain_table) has its numbers parsed by one
-    np.loadtxt call; any other file, and every file with an error, goes
-    through read_csv and a row-by-row parser.  Both give the same dates,
-    names and values, bit for bit.  Errors name the offending data row
-    (1-based, excluding the header) and column so a malformed cell can be
-    found in the original file.
+    """(dates, names, T x N floats) of a panel file: serialization.read_table
+    with the excluded and risk-free columns dropped, labels and names
+    stripped, dates nonblank and strictly increasing, and percent values
+    multiplied by 0.01.  Errors name the data row (1-based, after the
+    header) and column, so a malformed cell can be found in the file.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    table = _read_plain_table(path, config)
-    return table if table is not None else _parse_rows(path, config)
-
-
-# ASCII characters np.loadtxt strips around a number as whitespace and
-# float() does not, and the ones csv.reader gives a meaning of its own
-_NOT_PLAIN = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _read_plain_table(path: Path, config: ParseConfig):
-    """_read_table's result for a plain file, or None for any other file.
-
-    A file is plain when it is UTF-8 text (a leading byte-order mark is
-    dropped) without a quote, NUL, lone carriage return or ASCII separator
-    (\\x1c-\\x1f), its delimiter is one character other than whitespace,
-    '"' and '#', no column is dropped, and after the comment and empty
-    lines the header has two fields or more and every line after it has
-    the header's field count, a nonblank date later than the one before
-    and numbers np.loadtxt parses.  On such
-    a file splitting at newlines and at the delimiter cuts where csv.reader
-    does, and loadtxt takes a number exactly when float() does and gives
-    the same double, except for underscores and non-ASCII digits, which
-    it rejects; so a file it reads gets the row parser's result, and
-    every other file, error messages included, is left to the row parser.
-    """
-    sep = config.delimiter
-    if len(sep) != 1 or sep.isspace() or sep in '"#':
-        return None
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
-    if any(ch in text for ch in _NOT_PLAIN):
-        return None
-    if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):
-            return None
-        text = text.replace("\r\n", "\n")
-    lines = [line for line in text.split("\n") if line and not line.lstrip().startswith("#")]
-    if len(lines) < 2:
-        return None
-    names = [cell.strip() for cell in lines[0].split(sep)[1:]]
-    drop = set(config.excluded_columns) | {config.riskfree_column}
-    if not names or drop.intersection(names):
-        return None
-    dates, cells = [], []
-    for line in lines[1:]:
-        date, _, rest = line.partition(sep)
-        date = date.strip()
-        if (line.count(sep) != len(names) or not date or not rest
-                or (dates and date <= dates[-1])):
-            return None
-        dates.append(date)
-        cells.append(rest)
-    try:
-        values = np.loadtxt(cells, delimiter=sep, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return tuple(dates), tuple(names), values * (0.01 if config.percent_units else 1.0)
-
-
-def _parse_rows(path: Path, config: ParseConfig):
-    """_read_table on the rows of read_csv, one row at a time."""
-    rows = read_csv(path, config.delimiter)
-    if len(rows) < 2:
-        raise DataError(f"{path}: need a header row and at least one data row")
-    header = [cell.strip() for cell in rows[0]]
+    drop = {*config.excluded_columns, config.riskfree_column} - {None}
+    header, labels, values = read_table(path, config.delimiter, drop)
     if len(header) < 2:
         raise DataError(f"{path}: header must contain a date column and data columns")
-    names = header[1:]
-    drop = set(config.excluded_columns)
-    if config.riskfree_column is not None:
-        drop.add(config.riskfree_column)
-    keep = [j for j, name in enumerate(names) if name not in drop]
-    if not keep:
-        raise DataError(f"{path}: every data column was excluded")
-
-    dates = []
-    values = np.empty((len(rows) - 1, len(keep)))
-    scale = 0.01 if config.percent_units else 1.0
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {i} has {len(row)} fields, header has {len(header)}"
-            )
-        date = row[0].strip()
+    dates = [label.strip() for label in labels]
+    for i, date in enumerate(dates, start=1):
         if not date:
             raise DataError(f"{path}: row {i} has an empty date")
-        if dates and date <= dates[-1]:
-            raise DataError(
-                f"{path}: row {i} date {date!r} is not strictly after {dates[-1]!r}"
-            )
-        dates.append(date)
-        cells = row[1:] if len(keep) == len(names) else [row[1 + j] for j in keep]
-        try:
-            # numpy converts each str with float(): padding, underscores,
-            # Unicode digits and nan/inf parse as they do there
-            values[i - 1] = cells
-        except ValueError:
-            for j, cell in zip(keep, cells):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {i}, column {names[j]!r}: "
-                        f"cannot parse {cell.strip()!r} as a number"
-                    ) from None
-            raise
-    return tuple(dates), tuple(names[j] for j in keep), values * scale
+        if i > 1 and date <= dates[i - 2]:
+            raise DataError(f"{path}: row {i} date {date!r} is not strictly after "
+                            f"{dates[i - 2]!r}")
+    names = tuple(name.strip() for name in header[1:])
+    return tuple(dates), names, values * (0.01 if config.percent_units else 1.0)
 
 
 def load_returns_csv(path, config: ParseConfig | None = None) -> ReturnsPanel:
@@ -288,25 +193,17 @@ def load_returns_csv(path, config: ParseConfig | None = None) -> ReturnsPanel:
 
     The first column holds date labels, the header row holds asset names.
     """
-    config = config or ParseConfig()
-    dates, assets, values = _read_table(path, config)
-    return ReturnsPanel(dates, assets, values)
+    return ReturnsPanel(*_read_table(path, config or ParseConfig()))
 
 
 def load_factors_csv(path, config: ParseConfig | None = None) -> FactorPanel:
     """Load a factor panel; the risk-free column, if named, is dropped."""
-    config = config or ParseConfig()
-    dates, names, values = _read_table(path, config)
-    return FactorPanel(dates, names, values)
+    return FactorPanel(*_read_table(path, config or ParseConfig()))
 
 
 def load_rate_series(path, column: str, config: ParseConfig | None = None) -> RateSeries:
     """Pull one named column (e.g. the risk-free rate) out of a file."""
-    config = config or ParseConfig()
-    base = ParseConfig(
-        delimiter=config.delimiter,
-        percent_units=config.percent_units,
-    )
+    base = replace(config or ParseConfig(), riskfree_column=None, excluded_columns=())
     dates, names, values = _read_table(path, base)
     if column not in names:
         raise DataError(f"{path}: no column named {column!r}")

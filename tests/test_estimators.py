@@ -426,6 +426,21 @@ def test_a_constant_asset_raises_naming_its_index(N, T, index):
             build()
 
 
+@pytest.mark.parametrize("T", [40, 63, 100])
+@pytest.mark.parametrize("value", [0.37, 0.013, 1.7])
+def test_a_constant_asset_with_an_inexact_mean_raises_for_every_estimator(value, T):
+    # the mean of T copies of these values is not the value in floating
+    # point; demeaned by it, the column kept a variance of ~1e-31
+    _, panel, fpanel = calibrated_market(20, T, 3)
+    values = panel.values.copy()
+    values[:, 7] = value
+    flat = pr.ReturnsPanel(panel.dates, panel.assets, values)
+    assert not np.any(flat.demeaned_values[:, 7])
+    for name in ("sample", "factor", "poet"):
+        with pytest.raises(pr.NumericalError, match=r"index 7\)?$"):
+            pr.EstimatorSpec(name).fit(flat, fpanel)
+
+
 def test_poet_rejects_bad_K():
     _, panel, _ = calibrated_market(10, 20, 141)
     with pytest.raises(pr.DataError):

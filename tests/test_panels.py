@@ -1,6 +1,7 @@
 """Panel loading, alignment, and preprocessing."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -138,8 +139,8 @@ def test_duplicate_date_error(tmp_path):
 
 
 def test_repeated_asset_label_error(tmp_path):
-    # 'date,a,a,b' used to load as assets ('a', 'a', 'b'); the row parser
-    # (the quoted cell) and the fast loader both reach the panel's check
+    # 'date,a,a,b' used to load as assets ('a', 'a', 'b'); the csv cut
+    # (the quoted cell) and the plain cut both reach the panel's check
     for header in ("date,a,a,b", 'date,a,"a",b'):
         path = write_text(tmp_path / "dup.csv", [
             header, "2020-01-01,0.1,0.2,0.3", "2020-01-02,0.4,0.5,0.6"])
@@ -157,7 +158,7 @@ def test_repeated_factor_label_error():
 
 def test_byte_order_mark_is_dropped(tmp_path):
     # a spreadsheet's "CSV UTF-8" export starts with U+FEFF; a comment line
-    # behind it is still a comment, on the fast path and the row parser
+    # behind it is still a comment, through the plain cut and the csv cut
     lines = ["# exported", "date,aaa,bbb", "2020-01-01,0.5,1", "2020-01-02,0.25,2"]
     plain = pr.load_returns_csv(write_text(tmp_path / "plain.csv", lines))
     for name, body in (("fast", lines), ("rows", lines[:-1] + ['2020-01-02,0.25,"2"'])):
@@ -326,7 +327,7 @@ def test_slice_rows_keeps_labels():
     assert np.array_equal(part.values, panel.values[1:3])
 
 
-# ------------------------------------------- fast loader against the row parser
+# ------------------------------------------- the plain cut against the csv cut
 
 def _parsed(parse, path, config):
     """(dates, names, shape, value bytes), or the DataError text."""
@@ -338,26 +339,33 @@ def _parsed(parse, path, config):
 
 
 def _assert_loaders_agree(path, config):
-    """_read_table gives the row parser's result; True when its np.loadtxt
-    path read the file."""
-    from portrisk import panels
+    """The plain cut of serialization.read_table gives the csv cut's
+    panel or error; True when csv.reader never ran (the text was cut at
+    newlines and delimiters, and np.loadtxt parsed its numbers)."""
+    from portrisk import panels, serialization
 
-    want = _parsed(panels._parse_rows, path, config)
-    assert _parsed(panels._read_table, path, config) == want
-    plain = panels._read_plain_table(path, config)
-    if plain is not None:
-        assert _parsed(lambda *args: plain, path, config) == want
-    return plain is not None
+    csv_rows = serialization._csv_rows
+    ran = []
+    with mock.patch.object(serialization, "_csv_rows",
+                           lambda *args: ran.append(True) or csv_rows(*args)):
+        got = _parsed(panels._read_table, path, config)
+    with mock.patch.object(serialization, "_plain_table", lambda *args: None):
+        want = _parsed(panels._read_table, path, config)
+    assert got == want
+    return not ran
 
 
 PLAIN = pr.ParseConfig()
 
-# (file text, config, whether the np.loadtxt path reads it)
+# (file text, config, whether the plain cut reads it without csv.reader)
 LOADER_CASES = {
     "crlf": ("date,a,b\r\nd1,0.1,-0.2\r\nd2,1e-3,4\r\n", PLAIN, True),
     "padding": ("date , aaa ,bbb\n2020-01-01,  0.5 ,\t-2e-3\n 2020-01-02 ,\f1\v, 7 \n",
-                PLAIN, True),
-    "unicode padding": ("date,a\nd1,\u00a00.5\u2003\nd2,1\u2028\n", PLAIN, True),
+                PLAIN, False),
+    "space and tab padding": ("date , aaa ,bbb\n2020-01-01,  0.5 ,\t-2e-3\n 2020-01-02 , 1\t, 7 \n",
+                              PLAIN, True),
+    "unicode padding": ("date,a\nd1,\u00a00.5\u2003\nd2,1\u2028\n", PLAIN, False),
+    "unicode spaces": ("date,a\nd1,\u00a00.5\u2003\nd2,\u30001\u2009\n", PLAIN, True),
     "signs and zeros": ("date,a,b,c\nd1,+1,-0.0,+.25\nd2,-0,0e0,1.\n", PLAIN, True),
     "subnormals": ("date,a,b\nd1,5e-324,4.9e-324\nd2,2.2250738585072014e-308,1e-320\n",
                    PLAIN, True),
@@ -373,10 +381,12 @@ LOADER_CASES = {
     "non-ASCII digits": ("date,a\nd1,\u0661\u0662\nd2,\u0663.\u0665\n", PLAIN, False),
     "quoted cells": ('date,a,b\nd1,"0.5",2\n"d2",1,"3"\n', PLAIN, False),
     "quoted delimiter": ('date,a\nd1,"1,5"\n', PLAIN, False),
-    "lone carriage return": ("date,a\rd1,1\rd2,2\r", PLAIN, False),
+    "lone carriage return": ("date,a\rd1,1\rd2,2\r", PLAIN, True),
     "carriage return in a row": ("date,a,b\nd1\r,1,2\nd2,3,4\n", PLAIN, False),
     "NUL": ("date,a\nd1,1\x00\n", PLAIN, False),
     "ASCII separators": ("date,a\nd1,\x1c1.0\nd2,2\x1f\n", PLAIN, False),
+    "unicode line breaks": ("date,a\nd1,1\x85\nd2,2\u2029\n", PLAIN, False),
+    "form feed between rows": ("date,a\nd1,1\fd2,2\n", PLAIN, False),
     "trailing delimiter": ("date,a,b\nd1,0.1,0.2,\n", PLAIN, False),
     "trailing delimiter everywhere": ("date,a,b,\nd1,0.1,0.2,\n", PLAIN, False),
     "whitespace-only line": ("date,a\nd1,1\n   \nd2,2\n", PLAIN, False),
@@ -387,15 +397,15 @@ LOADER_CASES = {
     "two numbers in a cell": ("date,a\nd1,1.0 2.0\n", PLAIN, False),
     "hex and percent": ("date,a,b\nd1,0x10,1.5%\n", PLAIN, False),
     "ragged": ("date,a,b\nd1,1,2\nd2,1\n", PLAIN, False),
-    "empty date": ("date,a\n ,1\n", PLAIN, False),
-    "dates out of order": ("date,a\nd2,1\nd1,2\n", PLAIN, False),
+    "empty date": ("date,a\n ,1\n", PLAIN, True),
+    "dates out of order": ("date,a\nd2,1\nd1,2\n", PLAIN, True),
     "header only": ("date,a\n", PLAIN, False),
     "no data columns": ("date\nd1\n", PLAIN, False),
     "only comments": ("# nothing\n", PLAIN, False),
     "excluded column": ("date,a,b\nd1,1,2\nd2,3,4\n",
-                        pr.ParseConfig(excluded_columns=("a",)), False),
+                        pr.ParseConfig(excluded_columns=("a",)), True),
     "risk-free column": ("date,Mkt,RF\nd1,0.55,0.002\nd2,-0.3,0.002\n",
-                         pr.ParseConfig(percent_units=True, riskfree_column="RF"), False),
+                         pr.ParseConfig(percent_units=True, riskfree_column="RF"), True),
     "every column excluded": ("date,a\nd1,1\n", pr.ParseConfig(excluded_columns=("a",)), False),
     "tab delimiter": ("date\ta\tb\nd1\t 1\t2\nd2\t3\t\t\n", pr.ParseConfig(delimiter="\t"), False),
     "hash delimiter": ("date#a\nd1#1\n#d2#2\n", pr.ParseConfig(delimiter="#"), False),
@@ -411,9 +421,12 @@ def test_fast_loader_matches_the_row_parser(tmp_path, case):
 
 
 def test_fast_loader_leaves_non_utf8_files_to_the_row_parser(tmp_path):
+    # the one read of the file fails before either cut, with one message
     path = tmp_path / "latin1.csv"
     path.write_bytes("date,café\nd1,1\n".encode("latin-1"))
-    assert not _assert_loaders_agree(path, PLAIN)
+    assert _assert_loaders_agree(path, PLAIN)
+    with pytest.raises(pr.DataError, match=re.escape(f"{path}: not UTF-8 text")):
+        pr.load_returns_csv(path)
 
 
 # cells a parser might read differently: padding, signs, exponents, the

@@ -6,12 +6,15 @@ import struct
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import portrisk as pr
+from helpers import calibrated_market
 from portrisk import serialization as ser
+from portrisk.cli import main
 from portrisk.serialization import ASSESSMENT_COLUMNS, make_header_lines
 
 
@@ -110,7 +113,8 @@ def test_portfolio_csv_round_trip(tmp_path):
 def test_portfolio_csv_errors(tmp_path):
     path = tmp_path / "w.csv"
     path.write_text("asset,weight\nx,0.5\ny,oops\n")
-    with pytest.raises(pr.DataError, match="bad weight"):
+    with pytest.raises(pr.DataError,
+                       match=re.escape("row 2, column 'weight': cannot parse 'oops' as a number")):
         ser.read_portfolio_csv(path)
     path.write_text("foo,bar\nx,0.5\n")
     with pytest.raises(pr.DataError, match="header"):
@@ -120,6 +124,122 @@ def test_portfolio_csv_errors(tmp_path):
         ser.read_portfolio_csv(path)
     with pytest.raises(pr.DataError, match="asset names"):
         ser.write_portfolio_csv(path, np.ones(3), assets=("a", "b"))
+
+
+def _outcome(read, path):
+    """read(path) with its arrays as (shape, bytes), or the DataError text."""
+    try:
+        out = read(path)
+    except pr.DataError as exc:
+        return str(exc)
+    return tuple((x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x for x in out)
+
+
+def _through_both_cuts(read, path):
+    """read(path)'s outcome, the same through read_table's plain cut and
+    through csv.reader alone."""
+    plain = _outcome(read, path)
+    with mock.patch.object(ser, "_plain_table", lambda *args: None):
+        assert _outcome(read, path) == plain
+    return plain
+
+
+# (file text, read_table's (header, labels, values) or the end of its error)
+TABLE_CASES = {
+    "crlf": ("asset,x,y\r\nx,1.0,0.5\r\ny,0.5,2.0\r\n",
+             (("asset", "x", "y"), ("x", "y"), [[1.0, 0.5], [0.5, 2.0]])),
+    "byte order mark": ("\ufeffasset,weight\na,0.25\nb,0.75\n",
+                        (("asset", "weight"), ("a", "b"), [[0.25], [0.75]])),
+    "comments": ("# portrisk\n  # indented\nasset,weight\n\n# note\na,1e-3\n",
+                 (("asset", "weight"), ("a",), [[0.001]])),
+    "quoted labels": ('asset,"x, y",z\n"x, y",1.0,0.5\nz,0.5,"2.0"\n',
+                      (("asset", "x, y", "z"), ("x, y", "z"), [[1.0, 0.5], [0.5, 2.0]])),
+    "bad cell": ("asset,x,y\r\nx,1.0,0.5\r\ny,0.5,oops\r\n",
+                 "row 2, column 'y': cannot parse 'oops' as a number"),
+    "bad quoted cell": ('asset,weight\n"a",0.5\nb,"1_0x"\n',
+                        "row 2, column 'weight': cannot parse '1_0x' as a number"),
+    "empty cell": ("asset,weight\na,\n", "row 1, column 'weight': cannot parse '' as a number"),
+    "ragged": ("asset,x,y\nx,1.0\n", "row 1 has 2 fields, header has 3"),
+    "header only": ("# note\nasset,weight\n", "no data rows"),
+}
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_read_table_cuts_agree_with_their_messages(tmp_path, case):
+    text, want = TABLE_CASES[case]
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = _through_both_cuts(ser.read_table, path)
+    if isinstance(want, str):
+        assert got == f"{path}: {want}"
+    else:
+        header, labels, values = want
+        assert got == (header, labels, (np.shape(values), np.array(values).tobytes()))
+
+
+def test_read_table_semicolon_through_both_cuts(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("asset;x;y\nx;1,5;0.5\n", encoding="utf-8")
+    with mock.patch.object(ser, "_plain_table", lambda *args: None):
+        want = _outcome(lambda p: ser.read_table(p, ";"), path)
+    assert want == f"{path}: row 1, column 'x': cannot parse '1,5' as a number"
+    assert _outcome(lambda p: ser.read_table(p, ";"), path) == want
+    path.write_text("asset;x;y\r\nx;1.5;0.5\r\n", encoding="utf-8")
+    header, labels, values = ser.read_table(path, ";")
+    assert (header, labels, values.tolist()) == (("asset", "x", "y"), ("x",), [[1.5, 0.5]])
+
+
+def test_read_table_never_parses_a_dropped_column(tmp_path):
+    path = tmp_path / "table.csv"
+    for text in ("date,a,note,b\nd1,1,first,2\nd2,3,,4\n",
+                 'date,a,note,b\nd1,1,"first, second",2\nd2,3,,4\n'):
+        path.write_text(text, encoding="utf-8")
+        header, labels, values = _through_both_cuts(
+            lambda p: ser.read_table(p, drop={"note"}), path)
+        assert (header, labels) == (("date", "a", "b"), ("d1", "d2"))
+        assert values == ((2, 2), np.array([[1.0, 2.0], [3.0, 4.0]]).tobytes())
+        panel = pr.load_returns_csv(path, pr.ParseConfig(excluded_columns=("note",)))
+        assert panel.assets == ("a", "b") and panel.values.tolist() == [[1, 2], [3, 4]]
+
+
+@pytest.mark.parametrize("text", [
+    "asset,x,y\r\nx,1.0,0.5\r\ny,0.5,2.0\r\n",
+    "\ufeff# written by hand\r\nasset,x,y\r\n\r\nx,1.0,0.5\r\ny,0.5,2.0\r\n",
+    'asset,x,"y"\n"x",1.0,0.5\ny,0.5,2.0\n',
+])
+def test_covariance_and_portfolio_files_through_both_cuts(tmp_path, text):
+    path = tmp_path / "cov.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = _through_both_cuts(ser.read_covariance_csv, path)
+    assert got == (((2, 2), np.array([[1.0, 0.5], [0.5, 2.0]]).tobytes()), ("x", "y"))
+    book = text.replace("asset,x,y", "asset,weight").replace('asset,x,"y"', "asset,weight")
+    book = book.replace(",1.0,0.5", ",0.25").replace(",0.5,2.0", ",0.75")
+    path.write_bytes(book.encode("utf-8"))
+    got = _through_both_cuts(ser.read_portfolio_csv, path)
+    assert got == (((2,), np.array([0.25, 0.75]).tobytes()), ("x", "y"))
+    path.write_bytes(book.replace("0.75", "0.75%").encode("utf-8"))
+    assert _through_both_cuts(ser.read_portfolio_csv, path) == (
+        f"{path}: row 2, column 'weight': cannot parse '0.75%' as a number")
+
+
+def test_a_300_asset_covariance_from_estimate_reads_back_bit_exactly(tmp_path, capsys):
+    _, panel, _ = calibrated_market(300, 40, 227)
+    ser.write_returns_csv(tmp_path / "returns.csv", panel)
+    for extra in ([], ["--binary"]):
+        assert main(["--output-dir", str(tmp_path), "estimate", "--returns",
+                     str(tmp_path / "returns.csv"), "--estimator", "sample", *extra]) == 0
+    capsys.readouterr()
+    path = tmp_path / "covariance_sample.csv"
+    matrix, names = ser.read_covariance_csv(path)
+    assert names == panel.assets
+    # the binary file holds the estimate's own bits of the lower triangle
+    lower = np.tril_indices(300)
+    binary = ser.read_covariance_binary(tmp_path / "covariance_sample.bin")
+    assert matrix[lower].tobytes() == binary[lower].tobytes()
+    rows = ser.read_csv(path)[1:]
+    assert matrix.tobytes() == np.array([[float(v) for v in row[1:]] for row in rows]).tobytes()
+    assert _through_both_cuts(ser.read_covariance_csv, path) == (
+        (matrix.shape, matrix.tobytes()), names)
 
 
 def test_returns_csv_round_trip_bit_exact(tmp_path):
